@@ -2,24 +2,27 @@
 
 Times the hot paths of the meta-blocking kernel, across graph sizes:
 
-* **legacy vs CSR python kernel** — the pre-CSR path materialises each
-  neighbour's *full* neighbourhood again per edge to read its degree
-  (O(Σ deg²) dict-of-tuples traversals) and emits every edge twice; the
-  kernel path materialises each node's neighbourhood exactly once into
-  reusable scratch buffers, reads degrees from the cached degree vector and
-  emits each edge from its lower endpoint only.  Likewise WNP / CNP voting:
-  full edge scan per node vs the incident-edge adjacency index.
-* **python vs numpy kernel backend** (``numpy_entries``) — the interpreted
-  CSR kernel against the vectorised
+* **legacy vs interpreted CSR sweep** (``entries``) — the pre-CSR path
+  materialises each neighbour's *full* neighbourhood again per edge to read
+  its degree (O(Σ deg²) dict-of-tuples traversals) and emits every edge
+  twice; the CSR sweep materialises each node's neighbourhood exactly once
+  into reusable scratch buffers, reads degrees from the cached degree vector
+  and emits each edge from its lower endpoint only.  Likewise WNP / CNP
+  voting: full edge scan per node vs the incident-edge adjacency index.
+* **interpreted reference vs vectorised kernel** (``numpy_entries``) — the
+  interpreted CSR sweep against
   :class:`~repro.metablocking.backends.NumpyKernel` on the same three paths:
   neighbourhood weighing (kernel sweep → weight table), WNP and CNP
   retention.  Output equality is asserted *bit-for-bit* — identical dicts,
   identical floats — before any timing is recorded; the guard enforces the
   ≥3× combined-speedup floor at the largest committed size.
 
-Both comparisons must produce identical results; the benchmark asserts it,
-then writes ``BENCH_metablocking.json`` next to the repo root as the
-committed baseline that ``scripts/bench_guard.py`` checks regressions
+Both interpreted baselines (:class:`CompactBlockIndex` and
+:class:`InterpretedSweep`) live only here: the library runs the vectorised
+kernel alone, and these are the denominators its speedups are measured
+against.  Every comparison must produce identical results; the benchmark
+asserts it, then writes ``BENCH_metablocking.json`` next to the repo root as
+the committed baseline that ``scripts/bench_guard.py`` checks regressions
 against.
 
 Run directly::
@@ -32,28 +35,33 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.blocking.block import BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.synthetic import SyntheticConfig, generate_abt_buy_like
 from repro.engine.context import EngineContext
-from repro.metablocking.graph import EdgeInfo
+from repro.metablocking.backends import prune_edge_weights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import (
-    CompactBlockIndex,
     ParallelMetaBlocker,
     _CardinalityNodeVotes,
     _sum_votes,
     _WeightedNodeVotes,
     edge_id_incidence,
-    incident_edge_index,
 )
-from repro.metablocking.pruning import default_cnp_k
-from repro.metablocking.weights import WeightingScheme, compute_edge_weight
+from repro.metablocking.pruning import (
+    CardinalityNodePruning,
+    WeightedNodePruning,
+    default_cnp_k,
+)
+from repro.metablocking.weights import WeightingScheme
 
 DEFAULT_SIZES = (100, 200, 400)
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_metablocking.json"
@@ -64,6 +72,210 @@ def prepare_blocks(num_entities: int):
     raw = TokenBlocking().block(dataset.profiles)
     blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
     return dataset, blocks
+
+
+# ------------------------------------------------------- interpreted baselines
+@dataclass
+class EdgeInfo:
+    """Aggregate co-occurrence information of one blocking-graph edge."""
+
+    common_blocks: int = 0
+    arcs: float = 0.0
+    entropy_sum: float = 0.0
+
+
+def compute_edge_weight(
+    scheme: WeightingScheme,
+    info: EdgeInfo,
+    *,
+    blocks_a: int,
+    blocks_b: int,
+    total_blocks: int,
+    degree_a: int = 0,
+    degree_b: int = 0,
+    total_edges: int = 0,
+) -> float:
+    """The scalar per-edge weight formula of the interpreted paths."""
+    cbs = float(info.common_blocks)
+    if scheme is WeightingScheme.CBS:
+        return cbs
+    if scheme is WeightingScheme.ARCS:
+        return info.arcs
+    if scheme is WeightingScheme.JS:
+        denominator = blocks_a + blocks_b - cbs
+        return cbs / denominator if denominator > 0 else 0.0
+    if scheme is WeightingScheme.ECBS:
+        if blocks_a == 0 or blocks_b == 0 or total_blocks == 0:
+            return 0.0
+        return (
+            cbs
+            * math.log10(max(total_blocks / blocks_a, 1.0) + 1e-12)
+            * math.log10(max(total_blocks / blocks_b, 1.0) + 1e-12)
+        )
+    denominator = blocks_a + blocks_b - cbs
+    js = cbs / denominator if denominator > 0 else 0.0
+    if degree_a == 0 or degree_b == 0 or total_edges == 0:
+        return js
+    return (
+        js
+        * math.log10(max(total_edges / degree_a, 1.0) + 1e-12)
+        * math.log10(max(total_edges / degree_b, 1.0) + 1e-12)
+    )
+
+
+@dataclass
+class CompactBlockIndex:
+    """The dict-of-tuples view of a block collection (the pre-CSR index).
+
+    ``profile_blocks`` maps each profile id to the ids of the blocks that
+    contain it; ``block_members`` maps each block id to its two member-id
+    tuples (source 0, source 1); ``block_cardinality`` and ``block_entropy``
+    carry the per-block comparison count and entropy; ``profile_source``
+    records each profile's source side once, so neighbourhood materialisation
+    never scans a member tuple for the profile.
+    """
+
+    profile_blocks: dict[int, list[int]] = field(default_factory=dict)
+    block_members: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        default_factory=dict
+    )
+    block_cardinality: dict[int, int] = field(default_factory=dict)
+    block_entropy: dict[int, float] = field(default_factory=dict)
+    profile_source: dict[int, int] = field(default_factory=dict)
+    clean_clean: bool = False
+
+    @classmethod
+    def from_blocks(cls, blocks: BlockCollection) -> "CompactBlockIndex":
+        """Build the index from a block collection."""
+        index = cls(clean_clean=blocks.clean_clean)
+        for block_id, block in enumerate(blocks):
+            cardinality = block.num_comparisons()
+            if cardinality == 0:
+                continue
+            index.block_members[block_id] = (
+                tuple(sorted(block.profiles_source0)),
+                tuple(sorted(block.profiles_source1)),
+            )
+            index.block_cardinality[block_id] = cardinality
+            index.block_entropy[block_id] = block.entropy
+            for profile_id in block.profiles_source0:
+                index.profile_source[profile_id] = 0
+            for profile_id in block.profiles_source1:
+                index.profile_source.setdefault(profile_id, 1)
+            for profile_id in block.all_profiles():
+                index.profile_blocks.setdefault(profile_id, []).append(block_id)
+        return index
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.block_members)
+
+    def blocks_of(self, profile_id: int) -> list[int]:
+        """Block ids containing ``profile_id``."""
+        return self.profile_blocks.get(profile_id, [])
+
+    def neighbourhood(self, profile_id: int) -> dict[int, EdgeInfo]:
+        """Materialise the blocking-graph neighbourhood of one node.
+
+        For clean-clean collections only cross-source neighbours are produced;
+        for dirty collections every co-occurring profile is a neighbour.
+        """
+        source0_here = self.profile_source.get(profile_id, 0) == 0
+        neighbours: dict[int, EdgeInfo] = {}
+        for block_id in self.blocks_of(profile_id):
+            members0, members1 = self.block_members[block_id]
+            cardinality = self.block_cardinality[block_id]
+            entropy = self.block_entropy[block_id]
+            if self.clean_clean:
+                others = members1 if source0_here else members0
+            else:
+                others = tuple(m for m in members0 + members1 if m != profile_id)
+            for other in others:
+                if other == profile_id:
+                    continue
+                info = neighbours.get(other)
+                if info is None:
+                    info = EdgeInfo()
+                    neighbours[other] = info
+                info.common_blocks += 1
+                info.arcs += 1.0 / cardinality
+                info.entropy_sum += entropy
+        return neighbours
+
+
+class InterpretedSweep:
+    """One node neighbourhood at a time over the CSR buffers, in pure python.
+
+    After :meth:`neighbours` returns, the per-neighbour aggregates sit in
+    ``common_blocks`` / ``arcs`` / ``entropy_sum`` indexed by dense node id;
+    they stay valid until the next call, which resets only the previously
+    touched entries.  Neighbours come in first-touch order (ascending block
+    id, member order within a block) — the vectorised kernel's order.
+    """
+
+    def __init__(self, index: CSRBlockIndex) -> None:
+        n = index.num_nodes
+        self._index = index
+        self.common_blocks = [0] * n
+        self.arcs = [0.0] * n
+        self.entropy_sum = [0.0] * n
+        self._touched: list[int] = []
+
+    def neighbours(self, node: int) -> list[int]:
+        """Fill the scratch buffers for ``node``; return its neighbour list."""
+        index = self._index
+        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
+        touched = self._touched
+        for previous in touched:
+            common[previous] = 0
+            arcs[previous] = 0.0
+            entropy[previous] = 0.0
+        del touched[:]
+
+        entries = index.node_block_entries
+        block_offsets = index.block_offsets
+        block_nodes = index.block_nodes
+        block_split = index.block_split
+        inv_cardinality = index.block_inv_cardinality
+        block_entropy = index.block_entropy
+        start = index.node_block_offsets[node]
+        end = index.node_block_offsets[node + 1]
+        for position in range(start, end):
+            entry = entries[position]
+            block = entry >> 1
+            split = block_split[block]
+            lo = block_offsets[block]
+            hi = block_offsets[block + 1]
+            if split >= 0:
+                # Clean-clean block: neighbours are the members of the other
+                # source; the entry's low bit says which side this node is on.
+                if entry & 1:
+                    hi = lo + split
+                else:
+                    lo = lo + split
+            inv = inv_cardinality[block]
+            block_ent = block_entropy[block]
+            for other in block_nodes[lo:hi]:
+                if other == node:
+                    continue
+                if common[other] == 0:
+                    touched.append(other)
+                common[other] += 1
+                arcs[other] += inv
+                entropy[other] += block_ent
+        return touched
+
+
+def incident_edge_index(
+    weights: dict[tuple[int, int], float]
+) -> dict[int, list[tuple[tuple[int, int], float]]]:
+    """Group the weighted edges by incident node, in weight-map order."""
+    incidence: dict[int, list[tuple[tuple[int, int], float]]] = {}
+    for pair, weight in weights.items():
+        a, b = pair
+        incidence.setdefault(a, []).append((pair, weight))
+        incidence.setdefault(b, []).append((pair, weight))
+    return incidence
 
 
 # --------------------------------------------------------------------- legacy
@@ -124,14 +336,10 @@ def legacy_cnp(
 
 # --------------------------------------------------------------------- kernel
 def kernel_edge_weights(index: CSRBlockIndex) -> dict[tuple[int, int], float]:
-    """The CSR path: one materialisation per node, one emission per edge.
-
-    Shaped exactly like the parallel weigher's hot loop (EdgeInfo +
-    compute_edge_weight per emitted edge) so the measured speedup is the one
-    the real pipeline gets.
-    """
+    """The interpreted CSR path: one materialisation per node, one emission
+    per edge (EdgeInfo + compute_edge_weight per emitted edge)."""
     scheme = WeightingScheme.CBS
-    kernel = index.kernel()
+    kernel = InterpretedSweep(index)
     node_ids = index.node_ids
     block_counts = index.node_block_count
     total_blocks = index.total_blocks
@@ -213,10 +421,10 @@ def run_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
     for num_entities in sizes:
         dataset, blocks = prepare_blocks(num_entities)
         legacy_index = CompactBlockIndex.from_blocks(blocks)
-        # Pin the python backend: these entries measure the interpreted CSR
-        # kernel against the legacy dict path; the numpy backend has its own
-        # comparison pass (run_numpy_benchmark).
-        csr_index = CSRBlockIndex.from_blocks(blocks, backend="python")
+        # These entries measure the interpreted CSR sweep against the legacy
+        # dict path; the vectorised kernel has its own comparison pass
+        # (run_numpy_benchmark).
+        csr_index = CSRBlockIndex.from_blocks(blocks)
         csr_index.degree_vector()
 
         legacy_weights, legacy_neigh_s = _timed(legacy_edge_weights, legacy_index)
@@ -335,7 +543,7 @@ def run_shuffle_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
     entries = []
     for num_entities in sizes:
         _dataset, blocks = prepare_blocks(num_entities)
-        csr_index = CSRBlockIndex.from_blocks(blocks, backend="python")
+        csr_index = CSRBlockIndex.from_blocks(blocks)
         weights = kernel_edge_weights(csr_index)
         node_ids = list(csr_index.node_ids)
         k = default_cnp_k(sum(csr_index.node_block_count), csr_index.num_nodes)
@@ -436,7 +644,7 @@ def run_blockstore_benchmark(sizes=DEFAULT_SIZES, workers=2) -> list[dict]:
     entries = []
     for num_entities in sizes:
         _dataset, blocks = prepare_blocks(num_entities)
-        csr_index = CSRBlockIndex.from_blocks(blocks, backend="python")
+        csr_index = CSRBlockIndex.from_blocks(blocks)
         weights = kernel_edge_weights(csr_index)
         node_ids = list(csr_index.node_ids)
 
@@ -471,56 +679,45 @@ def run_blockstore_benchmark(sizes=DEFAULT_SIZES, workers=2) -> list[dict]:
     return entries
 
 
-# ------------------------------------------------------- numpy backend pass
+# ------------------------------------------------------ vectorised kernel pass
 def _numpy_weight_table(index):
-    """One full numpy weighting job: fresh kernel sweep → weight table.
+    """One full vectorised weighting job: fresh kernel sweep → weight table.
 
     The cached kernel (and its whole-graph sweep) is dropped first so every
     repeat measures the complete job, not a cache hit.
     """
-    from repro.metablocking.weights import WeightingScheme
-
     index._kernel = None
     plan = index.weight_plan(WeightingScheme.CBS, False)
     return index.kernel().weight_table(plan)
 
 
 def _numpy_wnp(table):
-    from repro.metablocking.backends import wnp_retain
-
-    return wnp_retain(table, 1)
+    return prune_edge_weights(WeightedNodePruning(), table, None)
 
 
 def _numpy_cnp(table, k):
-    from repro.metablocking.backends import cnp_retain
-
     table._canonical_rank = None  # measure the full job, not the rank cache
-    return cnp_retain(table, k, 1)
+    return prune_edge_weights(CardinalityNodePruning(k=k), table, None)
 
 
 def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
-    """Python vs numpy kernel backend on neighbourhood + WNP + CNP.
+    """Interpreted reference vs vectorised kernel on neighbourhood + WNP + CNP.
 
-    Both backends run the same jobs over the same blocks; the outputs are
+    Both sides run the same jobs over the same blocks; the outputs are
     asserted equal — bit-for-bit, float weights included — before any timing
-    counts.  Skips cleanly (empty list) when numpy is not importable.
+    counts.  The ``python_*`` fields hold the interpreted reference.
     """
-    from repro.metablocking.backends import numpy_available
-
-    if not numpy_available():
-        print("numpy not importable — skipping the numpy backend comparison")
-        return []
     entries = []
     for num_entities in sizes:
         _dataset, blocks = prepare_blocks(num_entities)
-        python_index = CSRBlockIndex.from_blocks(blocks, backend="python")
-        numpy_index = CSRBlockIndex.from_blocks(blocks, backend="numpy")
+        python_index = CSRBlockIndex.from_blocks(blocks)
+        numpy_index = CSRBlockIndex.from_blocks(blocks)
 
         python_weights, python_neigh_s = _timed(kernel_edge_weights, python_index)
         table, numpy_neigh_s = _timed(_numpy_weight_table, numpy_index)
-        assert table.mapping == python_weights, "backend edge weights diverged"
+        assert table.mapping == python_weights, "kernel edge weights diverged"
         assert list(table.mapping) == list(python_weights), (
-            "backend edge emission order diverged"
+            "kernel edge emission order diverged"
         )
 
         nodes = list(python_index.node_ids)
@@ -530,11 +727,11 @@ def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
 
         python_wnp, python_wnp_s = _timed(kernel_wnp, python_weights, nodes)
         numpy_wnp, numpy_wnp_s = _timed(_numpy_wnp, table)
-        assert numpy_wnp == python_wnp, "backend WNP output diverged"
+        assert numpy_wnp == python_wnp, "kernel WNP output diverged"
 
         python_cnp, python_cnp_s = _timed(kernel_cnp, python_weights, nodes, k)
         numpy_cnp, numpy_cnp_s = _timed(_numpy_cnp, table, k)
-        assert numpy_cnp == python_cnp, "backend CNP output diverged"
+        assert numpy_cnp == python_cnp, "kernel CNP output diverged"
 
         python_total = python_neigh_s + python_wnp_s + python_cnp_s
         numpy_total = numpy_neigh_s + numpy_wnp_s + numpy_cnp_s
@@ -548,7 +745,7 @@ def run_numpy_benchmark(sizes=DEFAULT_SIZES) -> list[dict]:
         }
         entries.append(entry)
         print(
-            f"[{num_entities:>4} entities] python vs numpy backend | "
+            f"[{num_entities:>4} entities] interpreted vs vectorised kernel | "
             f"neighbourhood {python_neigh_s:.3f}s -> {numpy_neigh_s:.3f}s "
             f"({entry['neighbourhood']['speedup']:.1f}x) | "
             f"wnp {python_wnp_s:.3f}s -> {numpy_wnp_s:.3f}s "
@@ -635,7 +832,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--skip-numpy", action="store_true",
-        help="keep the committed numpy-backend entries; skip that comparison",
+        help="keep the committed vectorised-kernel entries; skip that comparison",
     )
     parser.add_argument(
         "--skip-blockstore", action="store_true",

@@ -23,12 +23,11 @@ pipeline guard measures both sides fresh:
   the driver (block refs only) stay at or below 5 percent of the committed
   driver-relay wire volume for the same scenario.  Deterministic: fails the
   moment shuffle payloads start crossing the driver again.
-* **numpy kernel backend** — re-runs the python-vs-numpy backend comparison
-  at the *largest* committed size and fails when the combined
+* **vectorised kernel** — re-runs the interpreted-reference-vs-kernel
+  comparison at the *largest* committed size and fails when the combined
   neighbourhood + WNP + CNP speedup of the vectorised kernel drops below
   the hard 3× floor, or any tracked path falls below ``1 - tolerance`` of
-  its committed speedup.  Skips cleanly when numpy is not importable (the
-  pure-python fallback has no vectorised kernel to guard).
+  its committed speedup.
 * **pipeline runner** — times the ``SparkER`` facade against
   ``Pipeline.from_spec`` end-to-end on the same dataset and fails when the
   declarative stage-graph runner costs more than 5 percent over the facade
@@ -132,14 +131,14 @@ def check_e2e_against_baseline(
     return []
 
 
-NUMPY_FLOOR = 3.0  # acceptance floor: numpy backend ≥3× the python backend
+NUMPY_FLOOR = 3.0  # acceptance floor: vectorised kernel ≥3× the interpreted reference
 NUMPY_PATHS = ("neighbourhood", "wnp", "cnp")
 
 
 def check_numpy_against_baseline(
     tolerance: float = 0.2, baseline_path: Path = BASELINE_PATH
 ) -> list[str]:
-    """Guard the numpy kernel backend speedups; return failure messages.
+    """Guard the vectorised kernel speedups; return failure messages.
 
     The acceptance criterion (combined speedup ≥ ``NUMPY_FLOOR``) is
     enforced on the *largest* committed size — re-measured, not just read
@@ -148,16 +147,11 @@ def check_numpy_against_baseline(
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     from bench_metablocking_kernel import run_numpy_benchmark
 
-    from repro.metablocking.backends import numpy_available
-
-    if not numpy_available():
-        print("numpy not importable — skipping the numpy backend guard")
-        return []
     baseline = json.loads(baseline_path.read_text())
     numpy_entries = baseline.get("numpy_entries")
     if not numpy_entries:
         return [
-            "no numpy-backend baseline committed — regenerate with "
+            "no vectorised-kernel baseline committed — regenerate with "
             "`python benchmarks/bench_metablocking_kernel.py`"
         ]
     failures: list[str] = []
@@ -182,7 +176,7 @@ def check_numpy_against_baseline(
         floor = expected * (1.0 - tolerance)
         if measured < floor:
             failures.append(
-                f"numpy/{path}: backend speedup regressed to {measured:.1f}x "
+                f"numpy/{path}: kernel speedup regressed to {measured:.1f}x "
                 f"(baseline {expected:.1f}x, floor {floor:.1f}x)"
             )
     return failures
@@ -368,17 +362,11 @@ def check_scale_against_baseline(
     backends in fresh subprocesses; fails when the retained-edge checksums
     diverge (bit-for-bit acceptance), when the measured memmap overhead
     exceeds the ceiling, or when the memmap peak RSS grows beyond
-    ``1 + tolerance`` of its committed value.  Skips when numpy is missing
-    (the memmap backend requires it).
+    ``1 + tolerance`` of its committed value.
     """
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     from bench_scalability import run_scale_benchmark
 
-    from repro.metablocking.backends import numpy_available
-
-    if not numpy_available():
-        print("numpy not importable — skipping the out-of-core scale guard")
-        return []
     baseline = json.loads(baseline_path.read_text())
     scale_entries = baseline.get("scale_entries")
     if not scale_entries:
@@ -580,7 +568,7 @@ def main(argv=None) -> int:
         "--numpy-tolerance",
         type=float,
         default=0.2,
-        help="allowed fractional numpy-backend speedup regression (default 0.2 = 20%%)",
+        help="allowed fractional vectorised-kernel speedup regression (default 0.2 = 20%%)",
     )
     parser.add_argument(
         "--pipeline-ceiling",
@@ -620,7 +608,7 @@ def main(argv=None) -> int:
         return 1
     print(
         "bench guard ok: kernel speedups, e2e engine overhead, vote-stage "
-        "shuffle wire format, block-store relay volume, numpy backend "
+        "shuffle wire format, block-store relay volume, vectorised kernel "
         "speedups, pipeline-runner overhead, out-of-core scale, "
         "service ingest/query and WAL durability baselines within tolerance"
     )

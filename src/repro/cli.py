@@ -236,15 +236,9 @@ def _build_run_spec(args: argparse.Namespace) -> dict[str, object]:
             if executor is not None:
                 engine_section["executor"] = executor
             spec["engine"] = engine_section
-        if args.kernel_backend is not None:
-            # The kernel backend rides in the engine section but does not
-            # imply the engine: the sequential path selects a kernel too.
-            engine_section = dict(spec.get("engine") or {})
-            engine_section["kernel_backend"] = args.kernel_backend
-            spec["engine"] = engine_section
         if args.buffer_backend is not None:
-            # Same treatment for the CSR buffer backend: the sequential
-            # meta-blocker honours it without an engine.
+            # The CSR buffer backend rides in the engine section but does not
+            # imply the engine: the sequential meta-blocker honours it too.
             engine_section = dict(spec.get("engine") or {})
             engine_section["buffer_backend"] = args.buffer_backend
             spec["engine"] = engine_section
@@ -270,7 +264,6 @@ def _build_run_spec(args: argparse.Namespace) -> dict[str, object]:
         config,
         use_engine=use_engine,
         executor=_executor_spec(args),
-        kernel_backend=args.kernel_backend,
         buffer_backend=args.buffer_backend,
         tmp_dir=args.tmp_dir,
         fault_policy=_fault_policy_spec(args),
@@ -520,19 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=None,
                      help="process-pool worker count (implies --executor process; "
                           "default: CPU count)")
-    run.add_argument("--kernel-backend", choices=["auto", "python", "numpy"],
-                     default=None, dest="kernel_backend",
-                     help="meta-blocking kernel backend: 'numpy' vectorises the "
-                          "CSR kernel (bit-for-bit identical output), 'python' "
-                          "forces the interpreted kernel, 'auto' (default) picks "
-                          "numpy when importable")
     run.add_argument("--buffer-backend", choices=["ram", "memmap"],
                      default=None, dest="buffer_backend",
                      help="where the meta-blocking CSR index buffers live: "
                           "'ram' (default) keeps them in process memory, "
                           "'memmap' backs them with a file under --tmp-dir so "
                           "the OS can page the index out of core "
-                          "(bit-for-bit identical output; requires numpy)")
+                          "(bit-for-bit identical output)")
     run.add_argument("--tmp-dir", default=None, dest="tmp_dir",
                      help="root directory for engine temp artifacts (memmap "
                           "index buffers, shuffle spill files); default: "

@@ -65,7 +65,6 @@ class SparkERResult:
     timings: StageTimings = field(default_factory=StageTimings)
     engine_metrics: dict[str, object] = field(default_factory=dict)
     pipeline_result: PipelineResult | None = None
-    kernel_backend: str | None = None
 
     @property
     def matched_pairs(self) -> set[tuple[int, int]]:
@@ -85,8 +84,6 @@ class SparkERResult:
             "clusters": len(self.clusters),
             "entities": len(self.entities),
         }
-        if self.kernel_backend is not None:
-            summary["kernel_backend"] = self.kernel_backend
         if self.engine_metrics:
             summary["engine"] = dict(self.engine_metrics)
         return summary
@@ -133,7 +130,6 @@ class SparkER:
         *,
         use_engine: bool = False,
         executor: object | None = None,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
         tmp_dir: str | None = None,
         fault_policy: object | None = None,
@@ -181,7 +177,6 @@ class SparkER:
             self._block_store_spec = self.engine.block_store.spec()
         else:
             self._block_store_spec = None
-        self.kernel_backend = kernel_backend
         self.buffer_backend = buffer_backend
         self.tmp_dir = tmp_dir
         self.partitioning = partitioning
@@ -197,7 +192,6 @@ class SparkER:
         *,
         use_engine: bool = False,
         executor: str | None = None,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
         tmp_dir: str | None = None,
         fault_policy: "str | dict | None" = None,
@@ -292,8 +286,6 @@ class SparkER:
             "parallelism": config.parallelism,
             "executor": executor,
         }
-        if kernel_backend is not None:
-            engine_section["kernel_backend"] = kernel_backend
         if buffer_backend is not None:
             engine_section["buffer_backend"] = buffer_backend
         if tmp_dir is not None:
@@ -314,7 +306,6 @@ class SparkER:
             self.config,
             use_engine=self.engine is not None,
             executor=self._executor_spec,
-            kernel_backend=self.kernel_backend,
             buffer_backend=self.buffer_backend,
             tmp_dir=self.tmp_dir,
             fault_policy=self._fault_policy_spec,
@@ -384,7 +375,6 @@ class SparkER:
             timings=timings,
             engine_metrics=result.engine_metrics,
             pipeline_result=result,
-            kernel_backend=result.kernel_backend,
         )
 
     def __call__(

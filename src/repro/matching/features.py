@@ -10,26 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-try:  # numpy is optional at import time: only the supervised feature
-    import numpy as np  # vectors need it, and the no-numpy environment
-except ImportError:  # runs the unsupervised (threshold / rule) pipeline.
-    np = None  # type: ignore[assignment]
-
-from repro.exceptions import MatchingError
+import numpy as np
 
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.looseschema.attribute_partitioning import AttributePartitioning
 from repro.matching.similarity import get_similarity_function
-
-
-def require_numpy() -> None:
-    """Fail with an actionable error when supervised paths run without numpy."""
-    if np is None:
-        raise MatchingError(
-            "supervised matching (pair features / classifiers) requires numpy; "
-            "install numpy or use the unsupervised threshold/rule matcher"
-        )
 
 
 class PairFeatureExtractor:
@@ -69,7 +55,6 @@ class PairFeatureExtractor:
 
     def features(self, left: EntityProfile, right: EntityProfile) -> np.ndarray:
         """Feature vector of one pair."""
-        require_numpy()
         values = [
             function(left.text(), right.text()) for function in self.similarity_functions
         ]
@@ -89,7 +74,6 @@ class PairFeatureExtractor:
         pairs: Sequence[tuple[int, int]],
     ) -> np.ndarray:
         """Feature matrix (len(pairs) × num_features) for a pair list."""
-        require_numpy()
         if not pairs:
             return np.zeros((0, len(self.feature_names())))
         rows = [

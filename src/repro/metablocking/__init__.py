@@ -1,14 +1,8 @@
-"""Meta-blocking: blocking graph, edge weighting, pruning, entropy re-weighting."""
+"""Meta-blocking: CSR block index, vectorised kernel, edge weighting, pruning."""
 
-from repro.metablocking.backends import (
-    NumpyKernel,
-    PythonKernel,
-    numpy_available,
-    resolve_backend_name,
-)
-from repro.metablocking.graph import BlockingGraph, EdgeInfo, build_blocking_graph
-from repro.metablocking.index import CSRBlockIndex, NeighbourhoodKernel
-from repro.metablocking.weights import WeightingScheme, compute_edge_weight
+from repro.metablocking.backends import NumpyKernel
+from repro.metablocking.index import CSRBlockIndex
+from repro.metablocking.weights import WeightingScheme
 from repro.metablocking.pruning import (
     PruningStrategy,
     WeightedEdgePruning,
@@ -17,29 +11,19 @@ from repro.metablocking.pruning import (
     CardinalityNodePruning,
     ReciprocalWeightedNodePruning,
 )
-from repro.metablocking.entropy_weighting import apply_entropy_weights
 from repro.metablocking.metablocker import MetaBlocker, MetaBlockingResult
 from repro.metablocking.parallel import ParallelMetaBlocker
 
 __all__ = [
-    "BlockingGraph",
-    "EdgeInfo",
-    "build_blocking_graph",
     "CSRBlockIndex",
-    "NeighbourhoodKernel",
-    "PythonKernel",
     "NumpyKernel",
-    "numpy_available",
-    "resolve_backend_name",
     "WeightingScheme",
-    "compute_edge_weight",
     "PruningStrategy",
     "WeightedEdgePruning",
     "WeightedNodePruning",
     "CardinalityEdgePruning",
     "CardinalityNodePruning",
     "ReciprocalWeightedNodePruning",
-    "apply_entropy_weights",
     "MetaBlocker",
     "MetaBlockingResult",
     "ParallelMetaBlocker",

@@ -1,44 +1,33 @@
-"""Pluggable kernel backends for the CSR meta-blocking kernel.
+"""The vectorised meta-blocking kernel over the CSR index buffers.
 
 The CSR index (:class:`~repro.metablocking.index.CSRBlockIndex`) stores its
-offset/entry/cardinality/entropy buffers as contiguous stdlib :mod:`array`
-buffers.  Two interchangeable kernels materialise node neighbourhoods and
-edge weights from those buffers:
+offset/entry/cardinality/entropy buffers as contiguous numeric vectors.
+:class:`NumpyKernel` wraps them zero-copy via ``np.frombuffer`` and
+materialises node neighbourhoods and edge weights with gather /
+``np.bincount`` / ufunc expressions; the WEP/WNP/CEP/CNP retention rules run
+as array expressions over the resulting :class:`EdgeWeights` table.
 
-* :class:`PythonKernel` — the interpreted scratch-buffer kernel that has
-  driven every path since the CSR rewrite.  Always available; zero
-  dependencies.
-* :class:`NumpyKernel` — a vectorised kernel that wraps the same buffers
-  zero-copy via ``np.frombuffer`` and replaces the per-block inner loops
-  with gather / ``np.bincount`` / ufunc expressions.  Lazily imported and
-  only selectable when numpy is importable.
+**A fixed evaluation order is the contract.**  Every route — sequential,
+streamed, parallel, progressive, delta — reads the same kernel, and the
+kernel pins the order of every float operation, so all routes agree
+bit-for-bit with each other and with the brute-force reference the test
+suite derives from the paper's definitions:
 
-Backend selection (:func:`resolve_backend_name`): an explicit spec wins,
-then the ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto`` —
-numpy when importable, python otherwise.
-
-**Bit-for-bit parity is the contract.**  Both kernels produce the same
-neighbour order (node-major, first-touch), the same integer counts and the
-same *float* aggregates to the last ulp, because the numpy kernel fixes its
-accumulation order to the Python kernel's:
-
+* edges are emitted node-major, neighbours in first-touch order (ascending
+  block id, sorted members within a block), each edge from its lower
+  endpoint;
 * arcs / entropy sums accumulate through ``np.bincount(group, weights=...)``
-  whose C loop adds occurrences strictly left-to-right — the exact order the
-  Python kernel's ``+=`` visits them (a stable key sort never reorders the
-  occurrences *within* one (node, neighbour) group);
-* per-edge weight expressions use only ``* / + max`` ufuncs whose operand
-  order mirrors :func:`~repro.metablocking.weights.compute_edge_weight`
-  exactly; the ``log10`` factors of ECBS / EJS depend only on one endpoint,
-  so they are precomputed per *node* with ``math.log10`` (the same libm call
-  the scalar path makes) and merely gathered per edge — no vectorised
-  transcendental ever enters the weight;
+  whose C loop adds occurrences strictly left-to-right in ascending block
+  order (a stable key sort never reorders the occurrences *within* one
+  (node, neighbour) group);
+* per-edge weight expressions use only ``* / + max`` ufuncs; the ``log10``
+  factors of ECBS / EJS depend only on one endpoint, so they are
+  precomputed per *node* with ``math.log10`` and merely gathered per edge —
+  no vectorised transcendental ever enters the weight;
 * the WEP / WNP threshold sums run through single-target ``np.bincount``
-  accumulation in weight-map insertion order, matching ``sum()`` over the
-  same floats; CEP / CNP top-k selection sorts by ``(-weight, canonical
-  edge rank)`` — pure comparisons, no float arithmetic at all.
-
-The equivalence test grid asserts this parity for every weighting × pruning
-× entropy × executor combination, so no tolerance is needed anywhere.
+  accumulation in emission order (a plain left-to-right sum); CEP / CNP
+  top-k selection sorts by ``(-weight, canonical edge rank)`` — pure
+  comparisons, no float arithmetic at all.
 """
 
 from __future__ import annotations
@@ -47,74 +36,12 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import MetaBlockingError
-
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-BACKEND_CHOICES = ("auto", "python", "numpy")
-
-_numpy_checked = False
-_numpy_module: Any = None
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, imported lazily, or ``None`` if unavailable."""
-    global _numpy_checked, _numpy_module
-    if not _numpy_checked:
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency, lazy by design
-
-            _numpy_module = numpy
-        except Exception:  # pragma: no cover - exercised in the no-numpy CI leg
-            _numpy_module = None
-        _numpy_checked = True
-    return _numpy_module
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be selected."""
-    return numpy_or_none() is not None
-
-
-def resolve_backend_name(spec: "str | None" = None) -> str:
-    """Resolve a backend spec to ``"python"`` or ``"numpy"``.
-
-    ``None``/empty consults ``REPRO_KERNEL_BACKEND`` and defaults to
-    ``auto``; ``auto`` picks numpy when importable.  Requesting ``numpy``
-    outright without numpy installed is an error — silently falling back
-    would hide a mis-provisioned worker fleet.
-    """
-    if spec is None or spec == "":
-        spec = os.environ.get(ENV_VAR, "").strip() or "auto"
-    if not isinstance(spec, str):
-        raise MetaBlockingError(
-            f"kernel backend spec must be a string, got {spec!r}"
-        )
-    name = spec.strip().lower()
-    if name == "auto":
-        return "numpy" if numpy_available() else "python"
-    if name == "python":
-        return "python"
-    if name == "numpy":
-        if not numpy_available():
-            raise MetaBlockingError(
-                "kernel backend 'numpy' requested but numpy is not importable; "
-                "install numpy or select --kernel-backend python/auto"
-            )
-        return "numpy"
-    valid = ", ".join(BACKEND_CHOICES)
-    raise MetaBlockingError(
-        f"unknown kernel backend {spec!r}; valid backends: {valid}"
-    )
-
-
-def make_kernel(index) -> "PythonKernel | NumpyKernel":
-    """Build the scratch kernel matching ``index.backend``."""
-    if index.backend == "numpy":
-        return NumpyKernel(index)
-    return PythonKernel(index)
-
 
 # ------------------------------------------------------------ buffer backends
 BUFFER_ENV_VAR = "REPRO_BUFFER_BACKEND"
@@ -127,10 +54,7 @@ def resolve_buffer_backend(spec: "str | None" = None) -> str:
     ``None``/empty consults ``REPRO_BUFFER_BACKEND`` and defaults to
     ``ram``.  ``memmap`` backs the index's offset/entry vectors with a
     file-backed :class:`numpy.memmap` buffer (see
-    :meth:`~repro.metablocking.index.CSRBlockIndex.from_blocks`), so it
-    requires numpy — requesting it without numpy is an error, mirroring the
-    explicit-``numpy`` kernel rule: silent fallback would hide that the run
-    is *not* out-of-core.
+    :meth:`~repro.metablocking.index.CSRBlockIndex.from_blocks`).
     """
     if spec is None or spec == "":
         spec = os.environ.get(BUFFER_ENV_VAR, "").strip() or "ram"
@@ -139,18 +63,31 @@ def resolve_buffer_backend(spec: "str | None" = None) -> str:
             f"buffer backend spec must be a string, got {spec!r}"
         )
     name = spec.strip().lower()
-    if name == "ram":
-        return "ram"
-    if name == "memmap":
-        if not numpy_available():
-            raise MetaBlockingError(
-                "buffer backend 'memmap' requested but numpy is not "
-                "importable; install numpy or select --buffer-backend ram"
-            )
-        return "memmap"
+    if name in BUFFER_CHOICES:
+        return name
     valid = ", ".join(BUFFER_CHOICES)
     raise MetaBlockingError(
         f"unknown buffer backend {spec!r}; valid backends: {valid}"
+    )
+
+
+def drop_legacy_kernel_backend(section: dict, where: str, error: type) -> None:
+    """Remove the retired ``kernel_backend`` key from a config mapping.
+
+    Specs and configs written while a kernel could be selected may still
+    carry it.  ``null``, ``"auto"`` and ``"numpy"`` all named the kernel
+    that now always runs and are dropped silently; any other value (the
+    removed ``"python"`` kernel) raises ``error``.
+    """
+    value = section.pop("kernel_backend", None)
+    if value is None or (
+        isinstance(value, str) and value.strip().lower() in ("auto", "numpy")
+    ):
+        return
+    raise error(
+        f"{where}kernel_backend={value!r} is no longer supported: the "
+        "interpreted 'python' kernel was removed and meta-blocking always runs "
+        "the numpy kernel; drop the key"
     )
 
 
@@ -162,18 +99,27 @@ class WeightPlan:
     Built once per (index, scheme, use_entropy) via
     :meth:`~repro.metablocking.index.CSRBlockIndex.weight_plan` and cached on
     the index, driver- and worker-side alike.  ``log_blocks`` / ``log_degrees``
-    are the per-*node* ECBS / EJS factors, precomputed with ``math.log10`` so
-    the vectorised per-edge expression never calls a (potentially SIMD-
-    drifting) vectorised transcendental.
+    are the per-*node* ECBS / EJS factors ``log10(max(B / B_i, 1) + 1e-12)``
+    and ``log10(max(E / degree_i, 1) + 1e-12)``, precomputed with
+    ``math.log10`` so the vectorised per-edge expression never calls a
+    (potentially SIMD-drifting) vectorised transcendental.
     """
 
     scheme: Any  # WeightingScheme; typed loosely to avoid an import cycle
     use_entropy: bool
-    total_blocks: int
-    degrees: Any = None  # indexable per dense node (EJS only)
-    total_edges: int = 0
-    log_blocks: Any = None  # ndarray, numpy backend + ECBS only
-    log_degrees: Any = None  # ndarray, numpy backend + EJS only
+    log_blocks: Any = None  # ndarray, ECBS only
+    log_degrees: Any = None  # ndarray, EJS only
+
+
+def _log_factors(counts, total: int, n: int):
+    """Per node ``log10(max(total / count, 1) + 1e-12)`` (0 where count is 0)."""
+    factors = np.zeros(n, dtype=np.float64)
+    if total > 0:
+        for node in range(n):
+            count = counts[node]
+            if count:
+                factors[node] = math.log10(max(total / count, 1.0) + 1e-12)
+    return factors
 
 
 def make_weight_plan(index, scheme, use_entropy: bool) -> WeightPlan:
@@ -181,267 +127,26 @@ def make_weight_plan(index, scheme, use_entropy: bool) -> WeightPlan:
     from repro.metablocking.weights import WeightingScheme  # import-cycle guard
 
     scheme = WeightingScheme.parse(scheme)
-    plan = WeightPlan(
-        scheme=scheme, use_entropy=use_entropy, total_blocks=index.total_blocks
-    )
-    if scheme is WeightingScheme.EJS:
-        # Degrees resolve on a private sweep, so this is safe to run even
-        # while a shared kernel holds live neighbourhood state.
-        plan.degrees = index.degree_vector()
-        plan.total_edges = index.num_edges()
-    if index.backend != "numpy":
-        return plan
-    np = numpy_or_none()
+    plan = WeightPlan(scheme=scheme, use_entropy=use_entropy)
     n = index.num_nodes
     if scheme is WeightingScheme.ECBS:
-        total = plan.total_blocks
-        counts = index.node_block_count
-        log_blocks = np.zeros(n, dtype=np.float64)
-        if total > 0:
-            for node in range(n):
-                blocks = counts[node]
-                if blocks:
-                    # Exactly compute_edge_weight's per-endpoint factor.
-                    log_blocks[node] = math.log10(max(total / blocks, 1.0) + 1e-12)
-        plan.log_blocks = log_blocks
+        plan.log_blocks = _log_factors(index.node_block_count, index.total_blocks, n)
     elif scheme is WeightingScheme.EJS:
-        total_edges = plan.total_edges
-        degrees = plan.degrees
-        log_degrees = np.zeros(n, dtype=np.float64)
-        if total_edges > 0:
-            for node in range(n):
-                degree = degrees[node]
-                if degree:
-                    log_degrees[node] = math.log10(
-                        max(total_edges / degree, 1.0) + 1e-12
-                    )
-        plan.log_degrees = log_degrees
+        plan.log_degrees = _log_factors(index.degree_vector(), index.num_edges(), n)
     return plan
 
 
-# -------------------------------------------------------------- python kernel
-class PythonKernel:
-    """Materialise one node neighbourhood at a time into reusable buffers.
-
-    After :meth:`neighbours` returns, the per-neighbour aggregates sit in
-    ``common_blocks`` / ``arcs`` / ``entropy_sum`` indexed by dense node id;
-    they stay valid until the next :meth:`neighbours` call, which resets only
-    the previously touched entries.
-    """
-
-    name = "python"
-
-    __slots__ = ("_index", "common_blocks", "arcs", "entropy_sum", "_touched")
-
-    def __init__(self, index) -> None:
-        n = index.num_nodes
-        self._index = index
-        self.common_blocks = [0] * n
-        self.arcs = [0.0] * n
-        self.entropy_sum = [0.0] * n
-        self._touched: list[int] = []
-
-    def neighbours(self, node: int) -> list[int]:
-        """Fill the scratch buffers for ``node``; return its neighbour list.
-
-        Neighbours appear in first-touch order (ascending block id, member
-        order within a block) — the accumulation order is therefore identical
-        no matter which code path drives the kernel, keeping float sums
-        bit-for-bit reproducible.
-        """
-        index = self._index
-        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-        touched = self._touched
-        for previous in touched:
-            common[previous] = 0
-            arcs[previous] = 0.0
-            entropy[previous] = 0.0
-        del touched[:]
-
-        entries = index.node_block_entries
-        block_offsets = index.block_offsets
-        block_nodes = index.block_nodes
-        block_split = index.block_split
-        inv_cardinality = index.block_inv_cardinality
-        block_entropy = index.block_entropy
-        start = index.node_block_offsets[node]
-        end = index.node_block_offsets[node + 1]
-        for position in range(start, end):
-            entry = entries[position]
-            block = entry >> 1
-            split = block_split[block]
-            lo = block_offsets[block]
-            hi = block_offsets[block + 1]
-            if split >= 0:
-                # Clean-clean block: neighbours are the members of the other
-                # source; the entry's low bit says which side this node is on.
-                if entry & 1:
-                    hi = lo + split
-                else:
-                    lo = lo + split
-            inv = inv_cardinality[block]
-            block_ent = block_entropy[block]
-            for other in block_nodes[lo:hi]:
-                if other == node:
-                    continue
-                if common[other] == 0:
-                    touched.append(other)
-                common[other] += 1
-                arcs[other] += inv
-                entropy[other] += block_ent
-        return touched
-
-    # -------------------------------------------------------- edge emission
-    def edge_items(self, node: int) -> list[tuple]:
-        """``[(other_dense, EdgeInfo)]`` for the upper edges of ``node``.
-
-        Only neighbours with a dense id greater than ``node`` (each edge from
-        its lower endpoint, exactly once), in first-touch order; one direct
-        pass over the scratch buffers.
-        """
-        from repro.metablocking.graph import EdgeInfo
-
-        touched = self.neighbours(node)
-        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-        return [
-            (other, EdgeInfo(common[other], arcs[other], entropy[other]))
-            for other in touched
-            if other > node
-        ]
-
-    def weighted_edges(self, node: int, plan: WeightPlan) -> list[tuple[int, float]]:
-        """``[(other_dense, weight)]`` for the upper edges of ``node``.
-
-        The historical per-edge loop of the parallel edge weigher, shared by
-        every consumer so there is exactly one scalar reference path.
-        """
-        from repro.metablocking.graph import EdgeInfo
-        from repro.metablocking.weights import WeightingScheme, compute_edge_weight
-
-        index = self._index
-        needs_degrees = plan.scheme is WeightingScheme.EJS
-        touched = self.neighbours(node)
-        block_counts = index.node_block_count
-        common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-        blocks_node = block_counts[node]
-        degrees = plan.degrees
-        use_entropy = plan.use_entropy
-        results: list[tuple[int, float]] = []
-        for other in touched:
-            if other <= node:
-                continue
-            info = EdgeInfo(
-                common_blocks=common[other],
-                arcs=arcs[other],
-                entropy_sum=entropy[other],
-            )
-            weight = compute_edge_weight(
-                plan.scheme,
-                info,
-                blocks_a=blocks_node,
-                blocks_b=block_counts[other],
-                total_blocks=plan.total_blocks,
-                degree_a=degrees[node] if needs_degrees else 0,
-                degree_b=degrees[other] if needs_degrees else 0,
-                total_edges=plan.total_edges if needs_degrees else 0,
-            )
-            if use_entropy:
-                weight *= info.mean_entropy
-            results.append((other, weight))
-        return results
-
-    def weighted_edges_by_node(self, plan: WeightPlan) -> list[list[tuple]]:
-        """Per dense node, its weighted upper edges as ``((a, b), w)`` pairs."""
-        index = self._index
-        node_ids = index.node_ids
-        per_node: list[list[tuple]] = []
-        for node in range(index.num_nodes):
-            profile_a = node_ids[node]
-            per_node.append(
-                [
-                    ((profile_a, node_ids[other]), weight)
-                    for other, weight in self.weighted_edges(node, plan)
-                ]
-            )
-        return per_node
-
-    def weighted_neighbourhoods(self, nodes, plan: WeightPlan) -> list[list[tuple[int, float]]]:
-        """Per requested dense node, ``[(other_dense, weight)]`` over *all*
-        its neighbours (both directions), in first-touch order.
-
-        The neighbourhood-local re-weighting entry point: unlike
-        :meth:`weighted_edges` the lower direction is included, so a caller
-        can refresh every edge incident to a node set without sweeping the
-        rest of the graph.  For the endpoint-symmetric schemes (CBS, JS,
-        ARCS, with or without the entropy factor) the weight of an edge seen
-        from either endpoint is bit-for-bit the canonical emission value:
-        the aggregates accumulate over the same shared blocks in the same
-        ascending-block order from both sides, and the remaining arithmetic
-        is commutative-exact.  ECBS / EJS multiply per-endpoint factors in
-        endpoint order, so their lower-direction values may differ in the
-        last ulp — callers needing exactness there must re-emit canonically.
-        """
-        from repro.metablocking.graph import EdgeInfo
-        from repro.metablocking.weights import WeightingScheme, compute_edge_weight
-
-        index = self._index
-        needs_degrees = plan.scheme is WeightingScheme.EJS
-        block_counts = index.node_block_count
-        degrees = plan.degrees
-        use_entropy = plan.use_entropy
-        per_node: list[list[tuple[int, float]]] = []
-        for node in nodes:
-            touched = self.neighbours(node)
-            common, arcs, entropy = self.common_blocks, self.arcs, self.entropy_sum
-            blocks_node = block_counts[node]
-            results: list[tuple[int, float]] = []
-            for other in touched:
-                info = EdgeInfo(
-                    common_blocks=common[other],
-                    arcs=arcs[other],
-                    entropy_sum=entropy[other],
-                )
-                weight = compute_edge_weight(
-                    plan.scheme,
-                    info,
-                    blocks_a=blocks_node,
-                    blocks_b=block_counts[other],
-                    total_blocks=plan.total_blocks,
-                    degree_a=degrees[node] if needs_degrees else 0,
-                    degree_b=degrees[other] if needs_degrees else 0,
-                    total_edges=plan.total_edges if needs_degrees else 0,
-                )
-                if use_entropy:
-                    weight *= info.mean_entropy
-                results.append((other, weight))
-            per_node.append(results)
-        return per_node
-
-    def degrees(self) -> array:
-        """Blocking-graph degree of every node (one full sweep).
-
-        Runs on a private kernel so a caller holding live :meth:`neighbours`
-        results never has its scratch buffers clobbered.
-        """
-        index = self._index
-        sweeper = PythonKernel(index)
-        degrees = array("q", bytes(8 * index.num_nodes))
-        for node in range(index.num_nodes):
-            degrees[node] = len(sweeper.neighbours(node))
-        return degrees
-
-
-# --------------------------------------------------------------- numpy kernel
+# --------------------------------------------------------------- the kernel
 @dataclass
 class _Sweep:
     """One vectorised neighbourhood sweep over a set of owner nodes.
 
     Edges are grouped per owner (owner-major, first-touch order within each
-    owner — the Python kernel's emission order exactly), *including* the
-    lower-endpoint direction; consumers filter ``other > owner`` when they
-    emit each edge once.  ``arcs`` / ``entropies`` are ``None`` when the
-    sweep was computed for a job that does not read them (e.g. a CBS weight
-    table) — :meth:`NumpyKernel.sweep` recomputes on demand.
+    owner), *including* the lower-endpoint direction; consumers filter
+    ``other > owner`` when they emit each edge once.  ``arcs`` /
+    ``entropies`` are ``None`` when the sweep was computed for a job that
+    does not read them (e.g. a CBS weight table) — :meth:`NumpyKernel.sweep`
+    recomputes on demand.
     """
 
     owners: Any  # int64[m] dense owner per edge, non-decreasing
@@ -460,58 +165,51 @@ class _Sweep:
         )
 
 
+def _as_view(buffer, dtype):
+    """Zero-copy ndarray view over a stdlib array (or a ready ndarray)."""
+    if isinstance(buffer, np.ndarray):
+        return buffer
+    if len(buffer) == 0:
+        return np.empty(0, dtype=dtype)
+    return np.frombuffer(buffer, dtype=dtype)
+
+
+def _expand_ranges(starts, counts):
+    """Concatenated ``arange(start, start + count)`` for every range."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    firsts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(firsts, counts)
+        + np.repeat(starts, counts)
+    )
+
+
 class NumpyKernel:
     """Vectorised neighbourhood materialisation over zero-copy buffer views.
 
     Neighbourhoods are materialised by a gather of the owner's block member
     ranges, grouped per ``(owner, neighbour)`` key with one stable integer
     sort, and aggregated with ``np.bincount`` — see the module docstring for
-    why the result is bit-for-bit identical to :class:`PythonKernel`.
+    the evaluation order this fixes.
     """
 
-    name = "numpy"
-
     def __init__(self, index) -> None:
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover - guarded by resolve_backend_name
-            raise MetaBlockingError("NumpyKernel requires numpy")
-        self._np = np
         self._index = index
-        as_view = self._as_view
-        self.node_block_offsets = as_view(index.node_block_offsets, np.int64)
-        self.node_block_entries = as_view(index.node_block_entries, np.int64)
-        self.node_block_count = as_view(index.node_block_count, np.int64)
-        self.block_offsets = as_view(index.block_offsets, np.int64)
-        self.block_nodes = as_view(index.block_nodes, np.int64)
-        self.block_split = as_view(index.block_split, np.int64)
-        self.block_inv_cardinality = as_view(index.block_inv_cardinality, np.float64)
-        self.block_entropy = as_view(index.block_entropy, np.float64)
+        self.node_block_offsets = _as_view(index.node_block_offsets, np.int64)
+        self.node_block_entries = _as_view(index.node_block_entries, np.int64)
+        self.node_block_count = _as_view(index.node_block_count, np.int64)
+        self.block_offsets = _as_view(index.block_offsets, np.int64)
+        self.block_nodes = _as_view(index.block_nodes, np.int64)
+        self.block_split = _as_view(index.block_split, np.int64)
+        self.block_inv_cardinality = _as_view(index.block_inv_cardinality, np.float64)
+        self.block_entropy = _as_view(index.block_entropy, np.float64)
         self.node_ids = np.asarray(index.node_ids, dtype=np.int64)
         self._full_sweep: _Sweep | None = None
 
-    def _as_view(self, buffer, dtype):
-        """Zero-copy ndarray view over a stdlib array (or a ready ndarray)."""
-        np = self._np
-        if isinstance(buffer, np.ndarray):
-            return buffer
-        if len(buffer) == 0:
-            return np.empty(0, dtype=dtype)
-        return np.frombuffer(buffer, dtype=dtype)
-
     # ------------------------------------------------------------- the sweep
-    def _expand_ranges(self, starts, counts):
-        """Concatenated ``arange(start, start + count)`` for every range."""
-        np = self._np
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        firsts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        return (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(firsts, counts)
-            + np.repeat(starts, counts)
-        )
-
     def sweep(self, nodes=None, *, need_arcs: bool = True, need_entropies: bool = True) -> _Sweep:
         """Materialise the neighbourhoods of ``nodes`` (all nodes if None).
 
@@ -521,7 +219,6 @@ class NumpyKernel:
         weight jobs skip the float aggregates their scheme never reads; a
         cached sweep missing a later-needed aggregate is recomputed.
         """
-        np = self._np
         if nodes is None:
             cached = self._full_sweep
             if cached is not None:
@@ -543,7 +240,6 @@ class NumpyKernel:
         )
 
     def _sweep(self, nodes, *, need_arcs: bool, need_entropies: bool) -> _Sweep:
-        np = self._np
         n = self._index.num_nodes
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0, dtype=np.float64)
@@ -553,7 +249,7 @@ class NumpyKernel:
         # 1. Every (node, block entry) of the swept nodes, node-major.
         entry_counts = self.node_block_offsets[nodes + 1] - self.node_block_offsets[nodes]
         entries = self.node_block_entries[
-            self._expand_ranges(self.node_block_offsets[nodes], entry_counts)
+            _expand_ranges(self.node_block_offsets[nodes], entry_counts)
         ]
         owner_per_entry = np.repeat(nodes, entry_counts)
 
@@ -569,8 +265,8 @@ class NumpyKernel:
         counts = hi - lo
 
         # 3. Occurrence expansion: one row per (owner, co-member) incidence,
-        # in exactly the order the Python kernel's nested loop visits them.
-        others = self.block_nodes[self._expand_ranges(lo, counts)]
+        # owner-major, ascending block, member order within a block.
+        others = self.block_nodes[_expand_ranges(lo, counts)]
         owners = np.repeat(owner_per_entry, counts)
         occ_inv = (
             np.repeat(self.block_inv_cardinality[blocks], counts) if need_arcs else None
@@ -589,8 +285,7 @@ class NumpyKernel:
 
         # 4. Group by (owner, other).  The stable sort keeps each group's
         # occurrences in original relative order, so accumulating the sorted
-        # stream adds the same floats in the same order as the scalar `+=`
-        # loop visits them.
+        # stream adds the floats in ascending block order.
         keys = owners * n + others
         if n and n * n <= np.iinfo(np.int32).max:
             keys = keys.astype(np.int32)  # narrower radix sort, same order
@@ -620,7 +315,7 @@ class NumpyKernel:
                 )
 
         # 5. Reorder the groups into owner-major first-touch order (ascending
-        # first-occurrence position == the Python kernel's emission order).
+        # first-occurrence position).
         emit_order = np.argsort(first_occurrence, kind="stable")
         first_ordered = first_occurrence[emit_order]
         edge_owners = owners[first_ordered]
@@ -640,13 +335,11 @@ class NumpyKernel:
     def _edge_weights(self, sweep: _Sweep, keep, plan: WeightPlan):
         """The weight vector of ``sweep``'s edges selected by ``keep``.
 
-        A whole-neighbourhood ufunc expression per scheme; every operation
-        mirrors the operand order of ``compute_edge_weight`` (see module
-        docstring), so the floats come out bit-identical.
+        A whole-neighbourhood ufunc expression per scheme (see the module
+        docstring for the operand order it fixes).
         """
         from repro.metablocking.weights import WeightingScheme
 
-        np = self._np
         scheme = plan.scheme
         owners = sweep.owners[keep]
         others = sweep.others[keep]
@@ -656,46 +349,31 @@ class NumpyKernel:
         elif scheme is WeightingScheme.ARCS:
             weights = sweep.arcs[keep]
         elif scheme is WeightingScheme.JS:
-            blocks_sum = (
-                self.node_block_count[owners] + self.node_block_count[others]
-            ).astype(np.float64)
-            denominator = blocks_sum - cbs
-            weights = np.divide(
-                cbs,
-                denominator,
-                out=np.zeros(len(cbs), dtype=np.float64),
-                where=denominator > 0,
-            )
+            weights = self._jaccard(owners, others, cbs)
         elif scheme is WeightingScheme.ECBS:
-            if plan.total_blocks == 0:
-                weights = np.zeros(len(cbs), dtype=np.float64)
-            else:
-                weights = cbs * plan.log_blocks[owners] * plan.log_blocks[others]
+            weights = cbs * plan.log_blocks[owners] * plan.log_blocks[others]
         elif scheme is WeightingScheme.EJS:
-            blocks_sum = (
-                self.node_block_count[owners] + self.node_block_count[others]
-            ).astype(np.float64)
-            denominator = blocks_sum - cbs
-            js = np.divide(
-                cbs,
-                denominator,
-                out=np.zeros(len(cbs), dtype=np.float64),
-                where=denominator > 0,
-            )
-            if plan.total_edges == 0:
-                weights = js
-            else:
-                degrees = self._as_view(plan.degrees, np.int64)
-                scaled = js * plan.log_degrees[owners] * plan.log_degrees[others]
-                applies = (degrees[owners] > 0) & (degrees[others] > 0)
-                weights = np.where(applies, scaled, js)
+            js = self._jaccard(owners, others, cbs)
+            weights = js * plan.log_degrees[owners] * plan.log_degrees[others]
         else:  # pragma: no cover - the enum is closed
             raise MetaBlockingError(f"unsupported weighting scheme: {scheme}")
         if plan.use_entropy:
-            # weight * mean entropy, the exact scalar expression
-            # (entropy_sum / common_blocks applied after the base weight).
+            # BLAST: base weight times the mean entropy of the shared blocks.
             weights = weights * (sweep.entropies[keep] / cbs)
         return weights
+
+    def _jaccard(self, owners, others, cbs):
+        """``CBS / (B_a + B_b - CBS)``, 0 where the denominator is not positive."""
+        blocks_sum = (
+            self.node_block_count[owners] + self.node_block_count[others]
+        ).astype(np.float64)
+        denominator = blocks_sum - cbs
+        return np.divide(
+            cbs,
+            denominator,
+            out=np.zeros(len(cbs), dtype=np.float64),
+            where=denominator > 0,
+        )
 
     def _plan_sweep(self, plan: WeightPlan, nodes=None) -> _Sweep:
         """The sweep for one weight plan, skipping aggregates it never reads."""
@@ -714,38 +392,8 @@ class NumpyKernel:
         start, end = sweep.segment(node)
         return sweep.others[start:end].tolist()
 
-    def edge_items(self, node: int) -> list[tuple]:
-        """``[(other_dense, EdgeInfo)]`` for the upper edges of ``node``."""
-        from repro.metablocking.graph import EdgeInfo
-
-        sweep = self.sweep()
-        start, end = sweep.segment(node)
-        keep = sweep.others[start:end] > node
-        return list(
-            zip(
-                sweep.others[start:end][keep].tolist(),
-                map(
-                    EdgeInfo,
-                    sweep.common[start:end][keep].tolist(),
-                    sweep.arcs[start:end][keep].tolist(),
-                    sweep.entropies[start:end][keep].tolist(),
-                ),
-            )
-        )
-
-    def weighted_edges(self, node: int, plan: WeightPlan) -> list[tuple[int, float]]:
-        """``[(other_dense, weight)]`` for the upper edges of ``node``."""
-        np = self._np
-        sweep = self._plan_sweep(plan)
-        start, end = sweep.segment(node)
-        keep = np.zeros(len(sweep.others), dtype=bool)
-        keep[start:end] = sweep.others[start:end] > node
-        weights = self._edge_weights(sweep, keep, plan)
-        return list(zip(sweep.others[keep].tolist(), weights.tolist()))
-
     def weighted_edges_by_node(self, plan: WeightPlan) -> list[list[tuple]]:
         """Per dense node, its weighted upper edges as ``((a, b), w)`` pairs."""
-        np = self._np
         sweep = self._plan_sweep(plan)
         keep = sweep.others > sweep.owners
         pairs, weights = self._pair_records(sweep, keep, plan)
@@ -775,10 +423,10 @@ class NumpyKernel:
         """All ``((a, b), weight)`` records of one node partition, in order.
 
         One vectorised sweep over the partition's nodes — the worker-side
-        fast path of the parallel edge weighing job.  The record stream is
-        identical (content and order) to per-node emission.
+        task of the parallel edge weighing job.  The record stream is
+        identical (content and order) to the matching slice of the
+        whole-graph emission.
         """
-        np = self._np
         if not profile_ids:
             return []
         dense = np.searchsorted(self.node_ids, np.asarray(profile_ids, dtype=np.int64))
@@ -791,13 +439,19 @@ class NumpyKernel:
         """Per requested dense node, ``[(other_dense, weight)]`` over *all*
         its neighbours (both directions), in first-touch order.
 
-        ``nodes`` must be ascending (the partial-sweep offsets come from a
-        ``searchsorted``).  Same contract as the python kernel's method: the
-        values are bit-identical to canonical emission for the
-        endpoint-symmetric schemes — the partial sweep visits each owner's
-        occurrences in the same ascending-block order the full sweep does.
+        The neighbourhood-local re-weighting entry point: the lower direction
+        is included, so a caller can refresh every edge incident to a node
+        set without sweeping the rest of the graph.  ``nodes`` must be
+        ascending (the partial-sweep offsets come from a ``searchsorted``).
+        For the endpoint-symmetric schemes (CBS, JS, ARCS, with or without
+        the entropy factor) the weight of an edge seen from either endpoint
+        is bit-for-bit the canonical emission value: the aggregates
+        accumulate over the same shared blocks in the same ascending-block
+        order from both sides, and the remaining arithmetic is
+        commutative-exact.  ECBS / EJS multiply per-endpoint factors in
+        endpoint order, so their lower-direction values may differ in the
+        last ulp — callers needing exactness there must re-emit canonically.
         """
-        np = self._np
         dense = np.asarray(list(nodes), dtype=np.int64)
         if len(dense) == 0:
             return []
@@ -855,7 +509,6 @@ class NumpyKernel:
         Only the edge structure is needed, so a cold cache computes the
         cheap aggregate-free sweep.
         """
-        np = self._np
         sweep = self.sweep(need_arcs=False, need_entropies=False)
         counts = np.bincount(sweep.owners, minlength=self._index.num_nodes)
         return array("q", counts.tolist())
@@ -868,8 +521,8 @@ class EdgeWeights:
 
     ``mapping`` is the plain ``(a, b) → weight`` dict every existing consumer
     understands (node-major first-touch insertion order); ``a`` / ``b`` / ``w``
-    are aligned ndarrays over *dense* node ids so the pruning fast paths skip
-    the dict → array conversion entirely.
+    are aligned ndarrays over *dense* node ids so pruning skips the dict →
+    array conversion entirely.
 
     A *streaming* table (built by :meth:`NumpyKernel.weight_arrays`) has
     ``mapping=None`` and carries the dense→profile-id ``node_ids`` vector
@@ -904,12 +557,11 @@ class EdgeWeights:
     def canonical_rank(self):
         """Position of each edge in canonical (sorted-pair) order.
 
-        Ordering by ``(-weight, rank)`` therefore equals the scalar paths'
-        ``(-weight, pair)`` tie-break exactly.  Cached: CEP, CNP and the
-        vote-stage edge ids all consume it.
+        Ordering by ``(-weight, rank)`` therefore equals the ``(-weight,
+        pair)`` tie-break.  Cached: CEP, CNP and the vote-stage edge ids all
+        consume it.
         """
         if self._canonical_rank is None:
-            np = numpy_or_none()
             order = np.lexsort((self.b, self.a))
             rank = np.empty(len(self.a), dtype=np.int64)
             rank[order] = np.arange(len(self.a), dtype=np.int64)
@@ -917,18 +569,10 @@ class EdgeWeights:
         return self._canonical_rank
 
 
-def _retain_by_mask(table: EdgeWeights, keep) -> dict:
-    """The retained-edge dict for a boolean edge mask (insertion order kept)."""
-    from itertools import compress
+def _sequential_sum(values):
+    """Left-to-right float sum (``np.sum`` would sum pairwise instead).
 
-    return dict(compress(table.mapping.items(), keep.tolist()))
-
-
-def _sequential_sum(np, values):
-    """Left-to-right float sum, bit-identical to ``sum()`` over the same list.
-
-    ``np.sum`` uses pairwise summation (different rounding); a single-bin
-    weighted ``np.bincount`` accumulates strictly in order instead.
+    A single-bin weighted ``np.bincount`` accumulates strictly in order.
     """
     if len(values) == 0:
         return 0.0
@@ -937,53 +581,34 @@ def _sequential_sum(np, values):
     )
 
 
-def _wep_mask(np, table: EdgeWeights):
+def _wep_mask(table: EdgeWeights):
     """WEP's boolean retention mask: at or above the global mean weight."""
-    threshold = _sequential_sum(np, table.w) / len(table)
+    threshold = _sequential_sum(table.w) / len(table)
     return table.w >= threshold
 
 
-def _cep_order(np, table: EdgeWeights, k: int):
+def _cep_order(table: EdgeWeights, k: int):
     """CEP's retained edge positions, in ranked ``(-weight, pair)`` order."""
     return np.lexsort((table.canonical_rank(), -table.w))[:k]
 
 
-def wep_retain(table: EdgeWeights) -> dict:
-    """WEP: keep edges at or above the global mean edge weight."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    return _retain_by_mask(table, _wep_mask(np, table))
+def _interleaved_incidence(table: EdgeWeights):
+    """The per-node incidence stream in emission order.
 
-
-def cep_retain(table: EdgeWeights, k: int) -> dict:
-    """CEP: keep the globally top-``k`` edges, ranked ``(-weight, pair)``."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    order = _cep_order(np, table, k).tolist()
-    pairs, weights = table.pairs, table.w.tolist()
-    return {pairs[i]: weights[i] for i in order}
-
-
-def _interleaved_incidence(np, table: EdgeWeights):
-    """The per-node incidence stream in scalar append order.
-
-    The scalar paths append each edge to ``incidence[a]`` then
-    ``incidence[b]`` while scanning the weight map; the interleaved
-    ``a0, b0, a1, b1, …`` stream reproduces each node's subsequence — and
-    therefore every per-node float accumulation order — exactly.
+    Scanning the edges in emission order and appending each to its two
+    endpoints' lists yields, per node, the subsequence of the interleaved
+    ``a0, b0, a1, b1, …`` stream — the order every per-node float sum runs
+    in.
     """
-    m = len(table)
-    nodes = np.empty(2 * m, dtype=np.int64)
+    nodes = np.empty(2 * len(table), dtype=np.int64)
     nodes[0::2] = table.a
     nodes[1::2] = table.b
     return nodes
 
 
-def _wnp_mask(np, table: EdgeWeights, required: int):
+def _wnp_mask(table: EdgeWeights, required: int):
     """WNP's boolean retention mask (per-node mean threshold votes)."""
-    nodes = _interleaved_incidence(np, table)
+    nodes = _interleaved_incidence(table)
     occurrence_w = np.repeat(table.w, 2)
     sums = np.bincount(nodes, weights=occurrence_w, minlength=table.num_nodes)
     counts = np.bincount(nodes, minlength=table.num_nodes)
@@ -993,7 +618,7 @@ def _wnp_mask(np, table: EdgeWeights, required: int):
     return votes >= required
 
 
-def _cnp_mask(np, table: EdgeWeights, k: int, required: int):
+def _cnp_mask(table: EdgeWeights, k: int, required: int):
     """CNP's boolean retention mask (per-node top-``k`` votes)."""
     m = len(table)
     # Rank the edges once by (-weight, canonical pair order), then sort the
@@ -1002,7 +627,7 @@ def _cnp_mask(np, table: EdgeWeights, k: int, required: int):
     edge_order = np.lexsort((table.canonical_rank(), -table.w))
     edge_position = np.empty(m, dtype=np.int64)
     edge_position[edge_order] = np.arange(m, dtype=np.int64)
-    nodes = _interleaved_incidence(np, table)
+    nodes = _interleaved_incidence(table)
     occurrence_edge = np.repeat(np.arange(m, dtype=np.int64), 2)
     composite = nodes * m + edge_position[occurrence_edge]
     order = np.argsort(composite, kind="stable")
@@ -1014,54 +639,11 @@ def _cnp_mask(np, table: EdgeWeights, k: int, required: int):
     return votes >= required
 
 
-def wnp_retain(table: EdgeWeights, required: int) -> dict:
-    """WNP: per-node mean threshold; ``required`` endpoint votes retain."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    return _retain_by_mask(table, _wnp_mask(np, table, required))
+def _selection(strategy, table: EdgeWeights, index):
+    """The retention of one stock strategy over a non-empty table.
 
-
-def cnp_retain(table: EdgeWeights, k: int, required: int) -> dict:
-    """CNP: every node keeps its top-``k`` incident edges (sort, not heaps)."""
-    np = numpy_or_none()
-    if not len(table):
-        return {}
-    return _retain_by_mask(table, _cnp_mask(np, table, k, required))
-
-
-def supports_strategy(strategy) -> bool:
-    """True when the vectorised dispatch covers ``strategy`` exactly.
-
-    Only the *stock* strategy classes qualify — any subclass may override
-    ``prune`` or one of its hooks (e.g. ``WeightedNodePruning.
-    node_thresholds``), and the fast paths must never silently replace
-    customised behaviour.  ``ReciprocalWeightedNodePruning`` is the one
-    sanctioned subclass: it only flips the ``reciprocal`` flag.
-    """
-    from repro.metablocking.pruning import (  # import-cycle guard
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        ReciprocalWeightedNodePruning,
-        WeightedEdgePruning,
-        WeightedNodePruning,
-    )
-
-    return type(strategy) in (
-        WeightedEdgePruning,
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        WeightedNodePruning,
-        ReciprocalWeightedNodePruning,
-    )
-
-
-def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
-    """Vectorised pruning dispatch for the built-in strategies.
-
-    Returns the retained-edge dict, or ``None`` when ``strategy`` is a custom
-    subclass the fast paths do not recognise (the caller falls back to the
-    scalar ``prune``).  Default ``k`` derivations delegate to the shared
+    A boolean keep-mask in emission order for WEP / WNP / CNP, or the ranked
+    positions for CEP.  Default ``k`` derivations delegate to the shared
     :func:`~repro.metablocking.pruning.default_cep_k` /
     :func:`~repro.metablocking.pruning.default_cnp_k` formulas.
     """
@@ -1069,26 +651,39 @@ def prune_edge_weights(strategy, table: EdgeWeights, index) -> "dict | None":
         CardinalityEdgePruning,
         CardinalityNodePruning,
         WeightedEdgePruning,
-        WeightedNodePruning,
         default_cep_k,
         default_cnp_k,
     )
 
-    if not supports_strategy(strategy):
-        return None
-    if type(strategy) is WeightedEdgePruning:
-        return wep_retain(table)
-    if type(strategy) is CardinalityEdgePruning:
+    if isinstance(strategy, WeightedEdgePruning):
+        return _wep_mask(table)
+    if isinstance(strategy, CardinalityEdgePruning):
         k = strategy.k
         if k is None:
             k = default_cep_k(int(sum(index.node_block_count)))
-        return cep_retain(table, k)
+        return _cep_order(table, k)
+    required = 2 if strategy.reciprocal else 1
     if isinstance(strategy, CardinalityNodePruning):
         k = strategy.k
         if k is None:
             k = default_cnp_k(int(sum(index.node_block_count)), index.num_nodes)
-        return cnp_retain(table, k, 2 if strategy.reciprocal else 1)
-    return wnp_retain(table, 2 if strategy.reciprocal else 1)
+        return _cnp_mask(table, k, required)
+    return _wnp_mask(table, required)
+
+
+def prune_edge_weights(strategy, table: EdgeWeights, index) -> dict:
+    """The retained-edge dict of ``strategy`` over a mapped weight table.
+
+    Insertion order is the emission order for WEP / WNP / CNP and the ranked
+    ``(-weight, pair)`` order for CEP.
+    """
+    if not len(table):
+        return {}
+    selection = _selection(strategy, table, index)
+    if selection.dtype == bool:
+        return dict(compress(table.mapping.items(), selection.tolist()))
+    pairs, weights = table.pairs, table.w.tolist()
+    return {pairs[i]: weights[i] for i in selection.tolist()}
 
 
 # ----------------------------------------------------------- streamed pruning
@@ -1096,43 +691,20 @@ DEFAULT_CHUNK_EDGES = 65536
 
 
 def retained_positions(strategy, table: EdgeWeights, index):
-    """Retained edge positions of ``table``, in retention order, or ``None``.
+    """Retained edge positions of ``table``, in retention order.
 
     The streaming counterpart of :func:`prune_edge_weights`: instead of a
     retained-edge dict it returns the *positions* (indices into
     ``table.a/b/w``) of the retained edges, in the exact order the dict
-    variant inserts them — emission (node-major first-touch) order for
-    WEP/WNP/CNP, ranked ``(-weight, pair)`` order for CEP.  Returns ``None``
-    for custom strategy subclasses, exactly like the dict dispatch; both
-    dispatches share one retention definition (the mask/order helpers), so
-    chunked emission is bit-for-bit the dict's ``items()`` stream.
+    variant inserts them.  Both share :func:`_selection`, so chunked
+    emission is bit-for-bit the dict's ``items()`` stream.
     """
-    from repro.metablocking.pruning import (  # import-cycle guard
-        CardinalityEdgePruning,
-        CardinalityNodePruning,
-        WeightedEdgePruning,
-        default_cep_k,
-        default_cnp_k,
-    )
-
-    np = numpy_or_none()
-    if not supports_strategy(strategy):
-        return None
     if not len(table):
         return np.empty(0, dtype=np.int64)
-    if type(strategy) is WeightedEdgePruning:
-        return np.flatnonzero(_wep_mask(np, table))
-    if type(strategy) is CardinalityEdgePruning:
-        k = strategy.k
-        if k is None:
-            k = default_cep_k(int(sum(index.node_block_count)))
-        return _cep_order(np, table, k)
-    if isinstance(strategy, CardinalityNodePruning):
-        k = strategy.k
-        if k is None:
-            k = default_cnp_k(int(sum(index.node_block_count)), index.num_nodes)
-        return np.flatnonzero(_cnp_mask(np, table, k, 2 if strategy.reciprocal else 1))
-    return np.flatnonzero(_wnp_mask(np, table, 2 if strategy.reciprocal else 1))
+    selection = _selection(strategy, table, index)
+    if selection.dtype == bool:
+        return np.flatnonzero(selection)
+    return selection
 
 
 def iter_retained_chunks(

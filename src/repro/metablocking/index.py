@@ -19,28 +19,23 @@ contiguous offset arrays (CSR style, stdlib :mod:`array` buffers):
 Node ids are dense (0..n-1) and order-isomorphic to the profile ids
 (``node_ids`` is sorted), so canonical pair ordering carries over.
 
-Neighbourhood materialisation is delegated to a pluggable **kernel backend**
-(:mod:`repro.metablocking.backends`): the interpreted
-:class:`~repro.metablocking.backends.PythonKernel` (always available) or the
-vectorised :class:`~repro.metablocking.backends.NumpyKernel`, selected per
-index via ``CSRBlockIndex(backend=...)`` / ``from_blocks(..., backend=...)``,
-the ``REPRO_KERNEL_BACKEND`` environment variable, or ``auto`` (numpy when
-importable).  Both kernels share one emission order (node-major first-touch)
-and one accumulation order, which is what keeps every driving path —
-sequential graph builder, parallel weigher, progressive streams — bit-for-bit
-equivalent across backends and executors.
+Neighbourhood materialisation runs on the vectorised
+:class:`~repro.metablocking.backends.NumpyKernel`, which reads the buffers
+zero-copy.  It fixes one emission order (node-major first-touch) and one
+accumulation order, which is what keeps every driving path — sequential,
+parallel, progressive, streamed, delta — bit-for-bit equivalent.
 
-Under the numpy backend the index can additionally export its buffers into a
+The index can additionally export its buffers into a
 :class:`multiprocessing.shared_memory` segment (:meth:`export_shared`): the
 pickle then carries only the segment name and layout, so a process pool maps
 the index once per machine instead of deserialising a copy per worker.
 
-Orthogonally to the *kernel* backend, a **buffer backend** decides where the
-numeric vectors live (:func:`~repro.metablocking.backends.resolve_buffer_backend`):
+A **buffer backend** decides where the numeric vectors live
+(:func:`~repro.metablocking.backends.resolve_buffer_backend`):
 ``ram`` keeps the stdlib :mod:`array` buffers (the historical behaviour) while
 ``memmap`` rewrites them into one file-backed :class:`numpy.memmap` buffer
 under the managed temp root (:mod:`repro.engine.tmpfiles`), so the OS can page
-the index in and out and peak RSS no longer has to hold it.  Both kernels read
+the index in and out and peak RSS no longer has to hold it.  The kernel reads
 either representation through the buffer protocol, so the retained edges are
 bit-for-bit identical across buffer backends; lifecycle mirrors the shared
 segment (explicit :meth:`close`, GC finalizer backstop, dead-pid crash sweep).
@@ -52,11 +47,10 @@ import weakref
 from array import array
 from bisect import bisect_left
 
+import numpy as np
+
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
-from repro.metablocking.backends import (
-    PythonKernel as NeighbourhoodKernel,  # noqa: F401  (back-compat re-export)
-)
 
 # Buffers that travel through the shared-memory segment, with their typecode.
 _SHARED_FIELDS = (
@@ -76,9 +70,7 @@ class CSRBlockIndex:
     """Array-backed block index shared by the sequential and parallel paths.
 
     Build with :meth:`from_blocks`; the constructor only wires pre-built
-    arrays together.  ``backend`` selects the neighbourhood kernel
-    (``"auto"`` / ``"python"`` / ``"numpy"``; ``None`` consults
-    ``REPRO_KERNEL_BACKEND`` then falls back to ``auto``).
+    arrays together.
     """
 
     __slots__ = (
@@ -94,7 +86,6 @@ class CSRBlockIndex:
         "block_entropy",
         "total_blocks",
         "clean_clean",
-        "_backend",
         "_buffer_backend",
         "_node_of",
         "_kernel",
@@ -108,11 +99,7 @@ class CSRBlockIndex:
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        backend: "str | None" = None,
-        buffer_backend: "str | None" = None,
-    ) -> None:
+    def __init__(self, buffer_backend: "str | None" = None) -> None:
         self.node_ids: list[int] = []
         self.node_block_offsets = array("q", [0])
         self.node_block_entries = array("q")
@@ -127,7 +114,6 @@ class CSRBlockIndex:
         self.block_entropy = array("d")
         self.total_blocks = 0
         self.clean_clean = False
-        self._backend = _backends.resolve_backend_name(backend)
         self._buffer_backend = _backends.resolve_buffer_backend(buffer_backend)
         self._node_of: dict[int, int] | None = {}
         self._kernel = None
@@ -144,15 +130,13 @@ class CSRBlockIndex:
     def from_blocks(
         cls,
         blocks: BlockCollection,
-        backend: "str | None" = None,
         buffer_backend: "str | None" = None,
         tmp_dir: "str | None" = None,
     ) -> "CSRBlockIndex":
         """Build the index from a block collection (one pass over the blocks).
 
-        Blocks that induce no comparison are skipped, exactly like the
-        sequential graph builder; ``total_blocks`` still counts them because
-        ECBS normalises by the raw collection size.
+        Blocks that induce no comparison are skipped; ``total_blocks`` still
+        counts them because ECBS normalises by the raw collection size.
 
         ``buffer_backend`` selects where the numeric vectors end up
         (``"ram"`` / ``"memmap"``; ``None`` consults
@@ -181,7 +165,6 @@ class CSRBlockIndex:
             valid,
             clean_clean=blocks.clean_clean,
             total_blocks=len(blocks),
-            backend=backend,
             buffer_backend=buffer_backend,
             tmp_dir=tmp_dir,
         )
@@ -193,7 +176,6 @@ class CSRBlockIndex:
         *,
         clean_clean: bool,
         total_blocks: int,
-        backend: "str | None" = None,
         buffer_backend: "str | None" = None,
         tmp_dir: "str | None" = None,
     ) -> "CSRBlockIndex":
@@ -209,7 +191,7 @@ class CSRBlockIndex:
         from-scratch build by design.  On any build error the partially
         constructed index is :meth:`close`\\ d (no leaked memmap buffer).
         """
-        index = cls(backend=backend, buffer_backend=buffer_backend)
+        index = cls(buffer_backend=buffer_backend)
         try:
             return cls._populate(index, valid, clean_clean, total_blocks, tmp_dir)
         except BaseException:
@@ -278,7 +260,6 @@ class CSRBlockIndex:
         is unlinked by :meth:`close` (or a GC finalizer backstop) and by the
         dead-pid crash sweep of :mod:`repro.engine.tmpfiles`.
         """
-        np = _backends.numpy_or_none()
         from repro.engine import tmpfiles as _tmpfiles
 
         lengths = [len(getattr(self, fld)) for fld, _tc in _SHARED_FIELDS]
@@ -313,7 +294,7 @@ class CSRBlockIndex:
         """Ship every array plus the cached degree vector, never the kernel.
 
         The index is the broadcast payload of the parallel meta-blocking;
-        each worker process builds its own scratch kernel on first use, so
+        each worker process builds its own kernel on first use, so
         the kernel (and its buffers / cached sweeps and weight plans) stays
         out of the pickle.  The cached degree vector and the per-block stat
         vectors *do* ship, so workers never redo the one-pass sweeps.
@@ -331,7 +312,6 @@ class CSRBlockIndex:
         small = {
             "total_blocks": self.total_blocks,
             "clean_clean": self.clean_clean,
-            "_backend": self._backend,
             "_buffer_backend": self._buffer_backend,
             "_num_edges": self._num_edges,
         }
@@ -359,6 +339,7 @@ class CSRBlockIndex:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        _drop_legacy_backend(state)
         self._kernel = None
         self._plans = {}
         self._shared = None
@@ -386,7 +367,6 @@ class CSRBlockIndex:
         self._node_of = None  # rebuilt lazily; node_ids is the source of truth
         self.total_blocks = state["total_blocks"]
         self.clean_clean = state["clean_clean"]
-        self._backend = state["_backend"]
         self._buffer_backend = state.get("_buffer_backend", "ram")
         self._num_edges = state["_num_edges"]
 
@@ -395,8 +375,7 @@ class CSRBlockIndex:
         """Copy the numeric buffers into one shared-memory segment.
 
         After export, pickling this index ships only the segment reference;
-        process-pool workers attach instead of deserialising.  Requires the
-        numpy backend (the worker-side views are ndarrays) and includes the
+        process-pool workers attach instead of deserialising.  Includes the
         degree vector, so it is resolved here if not already cached.
 
         Idempotent; returns the :class:`SharedIndexBuffers` handle.  The
@@ -406,14 +385,6 @@ class CSRBlockIndex:
         """
         if self._shared is not None and not self._shared.released:
             return self._shared
-        if self.backend != "numpy":
-            from repro.exceptions import MetaBlockingError
-
-            raise MetaBlockingError(
-                "export_shared() requires the numpy kernel backend"
-            )
-        import numpy as np
-
         from repro.metablocking.sharedmem import SharedIndexBuffers
 
         self.degree_vector()  # ships with the segment — workers never resweep
@@ -458,11 +429,6 @@ class CSRBlockIndex:
 
     # ------------------------------------------------------------- properties
     @property
-    def backend(self) -> str:
-        """The resolved kernel backend of this index (``python`` / ``numpy``)."""
-        return self._backend
-
-    @property
     def buffer_backend(self) -> str:
         """The resolved buffer backend of this index (``ram`` / ``memmap``)."""
         return self._buffer_backend
@@ -492,14 +458,13 @@ class CSRBlockIndex:
 
     # ----------------------------------------------------------------- kernel
     def kernel(self):
-        """The (cached) scratch kernel of the selected backend.
+        """The (cached) vectorised kernel over this index's buffers.
 
         The mini engine runs every task in one process, so the single cached
-        kernel is shared by all partitions; tasks materialise neighbourhoods
-        strictly one at a time.
+        kernel (and its whole-graph sweep) is shared by all partitions.
         """
         if self._kernel is None:
-            self._kernel = _backends.make_kernel(self)
+            self._kernel = _backends.NumpyKernel(self)
         return self._kernel
 
     def weight_plan(self, scheme, use_entropy: bool):
@@ -517,10 +482,7 @@ class CSRBlockIndex:
         """Per-node blocking-graph degree, computed once and cached.
 
         One kernel sweep over all nodes; every later degree lookup — EJS's
-        ``degree_b`` per neighbour, the global edge count — is O(1).  The
-        python backend sweeps a private kernel, so a caller holding live
-        :meth:`PythonKernel.neighbours` results never has its scratch buffers
-        clobbered; the numpy backend reads the cached whole-graph sweep.
+        per-endpoint degree, the global edge count — is O(1).
         """
         if self._degrees is None:
             self._degrees = self.kernel().degrees()
@@ -531,6 +493,15 @@ class CSRBlockIndex:
         if self._num_edges is None:
             self._num_edges = int(sum(self.degree_vector())) // 2
         return self._num_edges
+
+
+def _drop_legacy_backend(state: dict) -> None:
+    """Accept pickles from before the kernel-backend selector was removed.
+
+    Their ``_backend`` slot named the kernel the state was built for; the
+    buffers and overlay are the same for every kernel, so it is dropped.
+    """
+    state.pop("_backend", None)
 
 
 # --------------------------------------------------------------------------
@@ -635,7 +606,6 @@ class IncrementalBlockIndex:
         "compact_every",
         "appended_profiles",
         "compactions",
-        "_backend",
         "_buffer_backend",
         "_tmp_dir",
         "_tokens",
@@ -654,7 +624,6 @@ class IncrementalBlockIndex:
         min_token_length: int = 1,
         remove_stopwords: bool = False,
         compact_every: "int | None" = None,
-        backend: "str | None" = None,
         buffer_backend: "str | None" = None,
         tmp_dir: "str | None" = None,
     ) -> None:
@@ -668,7 +637,6 @@ class IncrementalBlockIndex:
         self.compact_every = compact_every
         self.appended_profiles = 0
         self.compactions = 0
-        self._backend = backend
         self._buffer_backend = buffer_backend
         self._tmp_dir = tmp_dir
         self._tokens: dict[str, _TokenState] = {}
@@ -774,7 +742,6 @@ class IncrementalBlockIndex:
             valid,
             clean_clean=self.clean_clean,
             total_blocks=len(valid),
-            backend=self._backend,
             buffer_backend=self._buffer_backend,
             tmp_dir=self._tmp_dir,
         )
@@ -844,6 +811,7 @@ class IncrementalBlockIndex:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        _drop_legacy_backend(state)
         self._csr = None
         for slot, value in state.items():
             setattr(self, slot, value)

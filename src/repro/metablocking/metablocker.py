@@ -1,16 +1,13 @@
 """The sequential meta-blocker: weight the graph, (optionally) re-weight by
 entropy, prune, return candidate pairs.
 
-This is the reference implementation; :class:`repro.metablocking.parallel.
-ParallelMetaBlocker` produces exactly the same output using the broadcast-join
-structure SparkER runs on Spark.
+:class:`repro.metablocking.parallel.ParallelMetaBlocker` produces exactly the
+same output using the broadcast-join structure SparkER runs on Spark.
 
-Both run on the pluggable kernel backend of the CSR index
-(:mod:`repro.metablocking.backends`).  Under the numpy backend the sequential
-path skips the dict-of-:class:`EdgeInfo` graph entirely: one vectorised kernel
-sweep produces the edge-weight table and the WEP/WNP/CEP/CNP retention runs as
-array expressions — with the same floats, the same tie-breaks and therefore
-the same retained edges as the interpreted path, to the last bit.
+One vectorised kernel sweep over the CSR index
+(:mod:`repro.metablocking.backends`) produces the edge-weight table, and the
+WEP/WNP/CEP/CNP retention runs as array expressions over it — the blocking
+graph is never materialised as a dict of edges.
 """
 
 from __future__ import annotations
@@ -19,11 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.blocking.block import BlockCollection
 from repro.metablocking import backends as _backends
-from repro.metablocking.entropy_weighting import apply_entropy_weights
-from repro.metablocking.graph import BlockingGraph, blocking_graph_from_index
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import PruningStrategy, make_pruning_strategy
-from repro.metablocking.weights import WeightingScheme, weight_all_edges
+from repro.metablocking.weights import WeightingScheme
 
 
 @dataclass
@@ -63,9 +58,6 @@ class MetaBlocker:
         When True the edge weights are multiplied by the mean entropy of the
         generating blocks before pruning (BLAST).  Has no effect if every
         block carries the default entropy of 1.0.
-    kernel_backend:
-        Kernel backend spec (``"auto"`` / ``"python"`` / ``"numpy"``;
-        ``None`` consults ``REPRO_KERNEL_BACKEND``).
     buffer_backend:
         Where the CSR index buffers live (``"ram"`` / ``"memmap"``; ``None``
         consults ``REPRO_BUFFER_BACKEND``).  ``memmap`` backs them with a
@@ -80,37 +72,35 @@ class MetaBlocker:
         pruning: str | PruningStrategy = "wep",
         *,
         use_entropy: bool = False,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
         tmp_dir: str | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
-        self.kernel_backend = kernel_backend
         self.buffer_backend = buffer_backend
         self.tmp_dir = tmp_dir
 
     def _build_index(self, blocks: BlockCollection) -> CSRBlockIndex:
         return CSRBlockIndex.from_blocks(
-            blocks,
-            backend=self.kernel_backend,
-            buffer_backend=self.buffer_backend,
-            tmp_dir=self.tmp_dir,
+            blocks, buffer_backend=self.buffer_backend, tmp_dir=self.tmp_dir
         )
 
     def run(self, blocks: BlockCollection) -> MetaBlockingResult:
         """Run meta-blocking over ``blocks`` and return the candidate pairs."""
         index = self._build_index(blocks)
         try:
-            if index.backend == "numpy":
-                result = self._run_vectorised(index)
-                if result is not None:
-                    return result
-            graph = blocking_graph_from_index(
-                index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)
+            if index.num_nodes == 0:
+                return MetaBlockingResult()
+            plan = index.weight_plan(self.weighting, self.use_entropy)
+            table = index.kernel().weight_table(plan)
+            retained = _backends.prune_edge_weights(self.pruning, table, index)
+            return MetaBlockingResult(
+                candidate_pairs=set(retained),
+                retained_edges=retained,
+                graph_edges=index.num_edges(),
+                graph_nodes=index.num_nodes,
             )
-            return self.run_on_graph(graph)
         finally:
             index.close()
 
@@ -123,73 +113,21 @@ class MetaBlocker:
 
         The streaming counterpart of :meth:`run`: the concatenation of the
         yielded chunks is exactly ``run(blocks).retained_edges.items()`` —
-        same edges, same floats, same order.  On the numpy kernel backend
-        with a stock pruning strategy no retained-edge dict is ever built:
-        the O(E) residual is three dense numeric arrays (and, under the
-        ``memmap`` buffer backend, the index pages from disk), so the peak
-        python-object footprint is O(chunk).  Custom strategies and the
-        interpreted backend fall back to a full :meth:`run` and chunk its
-        dict — correct, but not out-of-core.
+        same edges, same floats, same order.  No retained-edge dict is ever
+        built: the O(E) residual is three dense numeric arrays (and, under
+        the ``memmap`` buffer backend, the index pages from disk), so the
+        peak python-object footprint is O(chunk).
         """
         index = self._build_index(blocks)
         try:
-            if index.backend == "numpy" and _backends.supports_strategy(self.pruning):
-                if index.num_nodes == 0:
-                    return
-                plan = index.weight_plan(self.weighting, self.use_entropy)
-                table = index.kernel().weight_arrays(plan)
-                positions = _backends.retained_positions(self.pruning, table, index)
-                if positions is not None:
-                    yield from _backends.iter_retained_chunks(
-                        table, positions, chunk_edges
-                    )
-                    return
-            graph = blocking_graph_from_index(
-                index, clean_clean=blocks.clean_clean, num_blocks=len(blocks)
-            )
-            retained = self.run_on_graph(graph).retained_edges
-            items = list(retained.items())
-            for start in range(0, len(items), chunk_edges):
-                yield items[start : start + chunk_edges]
+            if index.num_nodes == 0:
+                return
+            plan = index.weight_plan(self.weighting, self.use_entropy)
+            table = index.kernel().weight_arrays(plan)
+            positions = _backends.retained_positions(self.pruning, table, index)
+            yield from _backends.iter_retained_chunks(table, positions, chunk_edges)
         finally:
             index.close()
-
-    def _run_vectorised(self, index: CSRBlockIndex) -> "MetaBlockingResult | None":
-        """The numpy fast path: kernel weight table + array pruning.
-
-        Returns ``None`` for custom pruning strategies the vectorised
-        dispatch does not recognise — decided *before* the weight table is
-        built, so the fallback never pays for a discarded sweep; the caller
-        then runs the graph path (same output either way).
-        """
-        if index.num_nodes == 0:
-            return MetaBlockingResult()
-        if not _backends.supports_strategy(self.pruning):
-            return None
-        plan = index.weight_plan(self.weighting, self.use_entropy)
-        table = index.kernel().weight_table(plan)
-        retained = _backends.prune_edge_weights(self.pruning, table, index)
-        if retained is None:
-            return None
-        return MetaBlockingResult(
-            candidate_pairs=set(retained),
-            retained_edges=retained,
-            graph_edges=index.num_edges(),
-            graph_nodes=index.num_nodes,
-        )
-
-    def run_on_graph(self, graph: BlockingGraph) -> MetaBlockingResult:
-        """Run weighting + (entropy) + pruning over a prebuilt blocking graph."""
-        weights = weight_all_edges(graph, self.weighting)
-        if self.use_entropy:
-            weights = apply_entropy_weights(graph, weights)
-        retained = self.pruning.prune(graph, weights)
-        return MetaBlockingResult(
-            candidate_pairs=set(retained),
-            retained_edges=retained,
-            graph_edges=graph.num_edges,
-            graph_nodes=graph.num_nodes,
-        )
 
     def __call__(self, blocks: BlockCollection) -> MetaBlockingResult:
         return self.run(blocks)

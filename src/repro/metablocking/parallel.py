@@ -14,8 +14,8 @@ This module reproduces that structure on the CSR-backed
    precomputed degree vector — is built once and shipped via
    :meth:`repro.engine.context.EngineContext.broadcast`.
 2. The profile ids are parallelised into an RDD and processed partition by
-   partition; every task materialises the neighbourhoods of its nodes through
-   the index's scratch-buffer kernel, **exactly once per job**.  Each edge is
+   partition; every task materialises the neighbourhoods of its nodes with
+   one vectorised kernel sweep, **exactly once per job**.  Each edge is
    emitted from its lower endpoint only, so no dedup shuffle is needed, and
    degree lookups (EJS) read the broadcast degree vector instead of
    re-materialising the neighbour's neighbourhood per edge.
@@ -32,22 +32,18 @@ This module reproduces that structure on the CSR-backed
    boundary); map-side combine in the workers merges the two endpoint votes
    of an edge before they are ever serialised.
 
-The sequential meta-blocker's graph builder runs on the *same* kernel, with
-the same per-edge accumulation order, so the output (retained edges and their
-float weights) is equal bit-for-bit; the test-suite asserts this equivalence
-across the full weighting × pruning × entropy grid.
+The sequential meta-blocker runs on the *same* kernel, with the same per-edge
+accumulation order, so the output (retained edges and their float weights) is
+equal bit-for-bit; the test-suite checks both against a brute-force
+reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.blocking.block import BlockCollection
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
-from repro.exceptions import MetaBlockingError
 from repro.metablocking import backends as _backends
-from repro.metablocking.graph import EdgeInfo
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlockingResult
 from repro.metablocking.pruning import (
@@ -63,104 +59,6 @@ from repro.metablocking.pruning import (
 from repro.metablocking.weights import WeightingScheme
 
 
-@dataclass
-class CompactBlockIndex:
-    """The dict-of-tuples view of a block collection (legacy index).
-
-    Superseded by :class:`~repro.metablocking.index.CSRBlockIndex` on the hot
-    path; kept because its per-call materialisation is the reference point of
-    ``benchmarks/bench_metablocking_kernel.py`` and a convenient introspection
-    structure.
-
-    ``profile_blocks`` maps each profile id to the ids of the blocks that
-    contain it; ``block_members`` maps each block id to its two member-id
-    tuples (source 0, source 1); ``block_cardinality`` and ``block_entropy``
-    carry the per-block comparison count and entropy; ``profile_source``
-    records each profile's source side once, so neighbourhood materialisation
-    never scans a member tuple for the profile.
-    """
-
-    profile_blocks: dict[int, list[int]] = field(default_factory=dict)
-    block_members: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(
-        default_factory=dict
-    )
-    block_cardinality: dict[int, int] = field(default_factory=dict)
-    block_entropy: dict[int, float] = field(default_factory=dict)
-    profile_source: dict[int, int] = field(default_factory=dict)
-    clean_clean: bool = False
-
-    @classmethod
-    def from_blocks(cls, blocks: BlockCollection) -> "CompactBlockIndex":
-        """Build the index from a block collection."""
-        index = cls(clean_clean=blocks.clean_clean)
-        for block_id, block in enumerate(blocks):
-            cardinality = block.num_comparisons()
-            if cardinality == 0:
-                continue
-            index.block_members[block_id] = (
-                tuple(sorted(block.profiles_source0)),
-                tuple(sorted(block.profiles_source1)),
-            )
-            index.block_cardinality[block_id] = cardinality
-            index.block_entropy[block_id] = block.entropy
-            for profile_id in block.profiles_source0:
-                index.profile_source[profile_id] = 0
-            for profile_id in block.profiles_source1:
-                index.profile_source.setdefault(profile_id, 1)
-            for profile_id in block.all_profiles():
-                index.profile_blocks.setdefault(profile_id, []).append(block_id)
-        return index
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_members)
-
-    def blocks_of(self, profile_id: int) -> list[int]:
-        """Block ids containing ``profile_id``."""
-        return self.profile_blocks.get(profile_id, [])
-
-    def neighbourhood(self, profile_id: int) -> dict[int, EdgeInfo]:
-        """Materialise the blocking-graph neighbourhood of one node.
-
-        For clean-clean collections only cross-source neighbours are produced;
-        for dirty collections every co-occurring profile is a neighbour.
-        """
-        source0_here = self.profile_source.get(profile_id, 0) == 0
-        neighbours: dict[int, EdgeInfo] = {}
-        for block_id in self.blocks_of(profile_id):
-            members0, members1 = self.block_members[block_id]
-            cardinality = self.block_cardinality[block_id]
-            entropy = self.block_entropy[block_id]
-            if self.clean_clean:
-                others = members1 if source0_here else members0
-            else:
-                others = tuple(m for m in members0 + members1 if m != profile_id)
-            for other in others:
-                if other == profile_id:
-                    continue
-                info = neighbours.get(other)
-                if info is None:
-                    info = EdgeInfo()
-                    neighbours[other] = info
-                info.common_blocks += 1
-                info.arcs += 1.0 / cardinality
-                info.entropy_sum += entropy
-        return neighbours
-
-
-def incident_edge_index(
-    weights: dict[tuple[int, int], float]
-) -> dict[int, list[tuple[tuple[int, int], float]]]:
-    """Group the weighted edges by incident node — built once per job.
-
-    Delegates to the sequential pruning strategies' incidence builder so both
-    paths share one definition of the per-node list order (the order the WNP
-    float sums depend on); the parallel node-pruning tasks then look their
-    node up in O(degree) instead of scanning every edge.
-    """
-    return PruningStrategy._node_incidence(weights)
-
-
 def edge_id_incidence(
     weights: dict[tuple[int, int], float]
 ) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, float]]]]:
@@ -171,8 +69,7 @@ def edge_id_incidence(
     ``(-weight, edge_id)`` equals the sequential tie-break by
     ``(-weight, pair)``; ``incidence`` maps each node to its incident
     ``(edge id, weight)`` entries **in weight-map insertion order** — the
-    exact order :meth:`PruningStrategy._node_incidence` produces, which the
-    WNP per-node float sums depend on bit-for-bit.
+    order the WNP per-node float sums accumulate in.
     """
     edge_list = sorted(weights)
     edge_ids = {pair: edge_id for edge_id, pair in enumerate(edge_list)}
@@ -191,48 +88,15 @@ def edge_id_incidence(
 # chains pickle and the jobs run unchanged on the multiprocessing executor.
 
 
-class _EdgeWeigher:
-    """node → ``[((a, b), weight)]`` for the edges at the node's lower endpoint.
-
-    Each task materialises the node's neighbourhood once through the
-    broadcast kernel and emits only the edges whose *lower* endpoint is the
-    node, so every edge is produced exactly once with no dedup shuffle.  EJS
-    reads both endpoints' degrees and the global edge count from the
-    broadcast degree vector — no per-neighbour re-materialisation.  The
-    per-edge loop itself lives on the kernel
-    (:meth:`~repro.metablocking.backends.PythonKernel.weighted_edges`), so
-    there is exactly one scalar reference path for every driver.
-    """
-
-    __slots__ = ("broadcast", "scheme", "use_entropy")
-
-    def __init__(self, broadcast, scheme: WeightingScheme, use_entropy: bool) -> None:
-        self.broadcast = broadcast
-        self.scheme = scheme
-        self.use_entropy = use_entropy
-
-    def __call__(self, profile_id: int) -> list[tuple[tuple[int, int], float]]:
-        index: CSRBlockIndex = self.broadcast.value
-        node = index.node_of[profile_id]
-        # The plan resolves degrees (EJS) on a private sweep before the shared
-        # kernel materialises this node's neighbourhood; it is cached on the
-        # index, so the resolution happens once per process, not per node.
-        plan = index.weight_plan(self.scheme, self.use_entropy)
-        node_ids = index.node_ids
-        return [
-            ((profile_id, node_ids[other]), weight)
-            for other, weight in index.kernel().weighted_edges(node, plan)
-        ]
-
-
 class _PartitionEdgeWeigher:
-    """partition of nodes → the same ``((a, b), weight)`` records, batched.
+    """partition of nodes → ``[((a, b), weight)]`` for their upper edges.
 
-    The numpy-backend counterpart of :class:`_EdgeWeigher`: one vectorised
-    kernel sweep per partition instead of one interpreted loop per node.  The
-    emitted record stream — content *and* order — is identical, so the
-    collected weight map (and every float sum derived from its insertion
-    order) is bit-for-bit the same.
+    One vectorised kernel sweep per partition; each edge is emitted from its
+    lower endpoint only, so every edge is produced exactly once with no
+    dedup shuffle.  The record stream — content *and* order — is the
+    matching slice of the sequential emission, so the collected weight map
+    (and every float sum derived from its insertion order) is bit-for-bit
+    the same.
     """
 
     __slots__ = ("broadcast", "scheme", "use_entropy")
@@ -323,8 +187,8 @@ class ParallelMetaBlocker:
         The engine context the jobs run on.
     weighting / pruning / use_entropy:
         Same meaning as for :class:`~repro.metablocking.metablocker.MetaBlocker`.
-    kernel_backend / buffer_backend:
-        Kernel backend and CSR buffer backend specs, also as for
+    buffer_backend:
+        CSR buffer backend spec, also as for
         :class:`~repro.metablocking.metablocker.MetaBlocker`; the memmap
         buffer file lands under the context's ``tmp_dir``.
     """
@@ -336,14 +200,12 @@ class ParallelMetaBlocker:
         pruning: str | PruningStrategy = "wnp",
         *,
         use_entropy: bool = False,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
     ) -> None:
         self.context = context
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
-        self.kernel_backend = kernel_backend
         self.buffer_backend = buffer_backend
 
     # ------------------------------------------------------------------ public
@@ -351,7 +213,6 @@ class ParallelMetaBlocker:
         """Run the parallel meta-blocking over ``blocks``."""
         index = CSRBlockIndex.from_blocks(
             blocks,
-            backend=self.kernel_backend,
             buffer_backend=self.buffer_backend,
             tmp_dir=getattr(self.context, "tmp_dir", None),
         )
@@ -361,9 +222,7 @@ class ParallelMetaBlocker:
         # Materialise the degree vector driver-side so the broadcast ships the
         # index with degrees precomputed (one kernel sweep, reused everywhere).
         index.degree_vector()
-        if index.backend == "numpy" and isinstance(
-            self.context.executor, MultiprocessingExecutor
-        ):
+        if isinstance(self.context.executor, MultiprocessingExecutor):
             # Ship the ndarray buffers through one shared-memory segment: the
             # broadcast pickle then carries only the segment reference, and
             # every pool worker maps the index instead of deserialising a
@@ -384,13 +243,8 @@ class ParallelMetaBlocker:
                 retained = self._run_cardinality_edge(node_rdd, broadcast)
             elif isinstance(self.pruning, CardinalityNodePruning):
                 retained = self._run_node_cardinality(node_rdd, broadcast, self.pruning)
-            elif isinstance(self.pruning, WeightedNodePruning):
-                retained = self._run_node_weighted(node_rdd, broadcast, self.pruning)
             else:
-                raise MetaBlockingError(
-                    f"unsupported pruning strategy for the parallel meta-blocker: "
-                    f"{type(self.pruning).__name__}"
-                )
+                retained = self._run_node_weighted(node_rdd, broadcast, self.pruning)
 
             num_edges = self._count_edges(node_rdd, broadcast)
         finally:
@@ -414,8 +268,8 @@ class ParallelMetaBlocker:
         weight map on the driver (that O(E) dict is inherent to the
         structure, as in SparkER's driver-side collect), so this wrapper
         bounds the *consumer's* footprint, not the driver's — use the
-        sequential :meth:`MetaBlocker.stream_retained` numpy path for a
-        genuinely O(chunk) pipeline.
+        sequential :meth:`MetaBlocker.stream_retained` for a genuinely
+        O(chunk) pipeline.
         """
         retained = self.run(blocks).retained_edges
         items = list(retained.items())
@@ -426,10 +280,6 @@ class ParallelMetaBlocker:
         return self.run(blocks)
 
     # -------------------------------------------------------------- internals
-    def _edge_weigher(self, broadcast) -> _EdgeWeigher:
-        """The picklable node → edge-weights task function of this job."""
-        return _EdgeWeigher(broadcast, self.weighting, self.use_entropy)
-
     def _all_edge_weights(self, node_rdd, broadcast) -> dict[tuple[int, int], float]:
         """Distributed computation of every edge weight (one emission per edge).
 
@@ -437,18 +287,9 @@ class ParallelMetaBlocker:
         the same insertion order the sequential graph builder produces — so
         every downstream float sum (WEP's global mean, WNP's per-node means)
         is bit-for-bit identical to the sequential path.
-
-        Under the numpy backend the per-node task is replaced by a
-        per-partition task (one vectorised sweep per partition); the record
-        stream, and with it the collected map, is identical.
         """
-        # Peek at the private value: a driver-side .value read would inflate
-        # the broadcast access metrics without being a real task-side read.
-        if broadcast._value.backend == "numpy":
-            weigh = _PartitionEdgeWeigher(broadcast, self.weighting, self.use_entropy)
-            return node_rdd.mapPartitions(weigh, name="metablocking.weights").collectAsMap()
-        weigh = self._edge_weigher(broadcast)
-        return node_rdd.flatMap(weigh, name="metablocking.weights").collectAsMap()
+        weigh = _PartitionEdgeWeigher(broadcast, self.weighting, self.use_entropy)
+        return node_rdd.mapPartitions(weigh, name="metablocking.weights").collectAsMap()
 
     def _count_edges(self, node_rdd, broadcast) -> int:
         total = node_rdd.map(_NodeDegree(broadcast), name="metablocking.degree").sum()
@@ -538,19 +379,17 @@ def make_meta_blocker(
     weighting: "str | WeightingScheme" = WeightingScheme.CBS,
     pruning: "str | PruningStrategy" = "wep",
     use_entropy: bool = False,
-    kernel_backend: "str | None" = None,
     buffer_backend: "str | None" = None,
     tmp_dir: "str | None" = None,
 ) -> "ParallelMetaBlocker | MetaBlocker":
     """Build the meta-blocker matching the execution substrate.
 
     The broadcast-join :class:`ParallelMetaBlocker` when an engine context is
-    given, the sequential reference :class:`~repro.metablocking.metablocker.
-    MetaBlocker` otherwise — the two are bit-for-bit equivalent, on either
-    kernel backend.  Shared by the legacy :class:`repro.core.blocker.Blocker`
-    and the pipeline stage adapter.  ``tmp_dir`` roots the memmap buffer
-    files of the sequential path; the parallel path takes the engine
-    context's ``tmp_dir``.
+    given, the sequential :class:`~repro.metablocking.metablocker.MetaBlocker`
+    otherwise — the two are bit-for-bit equivalent.  Shared by the legacy
+    :class:`repro.core.blocker.Blocker` and the pipeline stage adapter.
+    ``tmp_dir`` roots the memmap buffer files of the sequential path; the
+    parallel path takes the engine context's ``tmp_dir``.
     """
     from repro.metablocking.metablocker import MetaBlocker
 
@@ -560,14 +399,12 @@ def make_meta_blocker(
             weighting=weighting,
             pruning=pruning,
             use_entropy=use_entropy,
-            kernel_backend=kernel_backend,
             buffer_backend=buffer_backend,
         )
     return MetaBlocker(
         weighting=weighting,
         pruning=pruning,
         use_entropy=use_entropy,
-        kernel_backend=kernel_backend,
         buffer_backend=buffer_backend,
         tmp_dir=tmp_dir,
     )

@@ -14,16 +14,10 @@ the meta-blocking graph of this package:
   of their neighbourhood and emit, for each node in turn, its best unseen
   neighbours first (a simplified Progressive Profile Scheduling).
 
-Both run on the CSR index's kernel backend directly (the interpreted
-:class:`~repro.metablocking.backends.PythonKernel` or the vectorised
-:class:`~repro.metablocking.backends.NumpyKernel`, selected via
-``kernel_backend=``) — one sweep materialising each node's neighbourhood
-exactly once, every edge weighted from its lower endpoint — instead of
-materialising a full :class:`~repro.metablocking.graph.BlockingGraph` and
-re-deriving node statistics from it.  Every kernel fixes the same
-accumulation order as the graph builder, so the weights (and therefore the
-rankings) are bit-for-bit identical to the graph-based implementation they
-replace, whichever backend runs the sweep.
+Both run on the CSR index's vectorised kernel directly — one sweep
+materialising each node's neighbourhood exactly once, every edge weighted
+from its lower endpoint — so the weights (and therefore the rankings) are
+bit-for-bit the ones every other meta-blocking route computes.
 
 ``stream()`` is genuinely lazy: global sorting merges per-node runs through a
 heap (:func:`heapq.merge`), so consuming the first *k* comparisons never pays
@@ -56,10 +50,8 @@ def _weighted_edges_by_node(
 ) -> list[list[_Edge]]:
     """One kernel sweep: per dense node, its weighted edges (lower endpoint).
 
-    Every edge appears exactly once, in the node-major first-touch order the
-    graph builder uses — weights accumulate in the same order and come out
-    float-identical to ``weight_all_edges(build_blocking_graph(blocks))``,
-    whichever kernel backend drives the sweep.
+    Every edge appears exactly once, in the node-major first-touch emission
+    order every meta-blocking route shares.
     """
     plan = index.weight_plan(scheme, use_entropy=False)
     return index.kernel().weighted_edges_by_node(plan)
@@ -78,11 +70,9 @@ class ProgressiveSortedComparisons:
         self,
         weighting: str | WeightingScheme = WeightingScheme.CBS,
         *,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
-        self.kernel_backend = kernel_backend
         self.buffer_backend = buffer_backend
 
     def rank(self, blocks: BlockCollection) -> list[tuple[int, int]]:
@@ -96,9 +86,7 @@ class ProgressiveSortedComparisons:
         runs are merged through a heap, so pulling the best *k* comparisons
         costs O(k log n) pops after the weighting sweep — no global sort.
         """
-        index = CSRBlockIndex.from_blocks(
-            blocks, backend=self.kernel_backend, buffer_backend=self.buffer_backend
-        )
+        index = CSRBlockIndex.from_blocks(blocks, buffer_backend=self.buffer_backend)
         try:
             iterator = self.stream_index(index)
         finally:
@@ -134,11 +122,9 @@ class ProgressiveNodeScheduling:
         self,
         weighting: str | WeightingScheme = WeightingScheme.CBS,
         *,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
     ) -> None:
         self.weighting = WeightingScheme.parse(weighting)
-        self.kernel_backend = kernel_backend
         self.buffer_backend = buffer_backend
 
     def rank(self, blocks: BlockCollection) -> list[tuple[int, int]]:
@@ -147,9 +133,7 @@ class ProgressiveNodeScheduling:
 
     def stream(self, blocks: BlockCollection) -> Iterator[tuple[int, int]]:
         """Iterate the scheduled comparisons lazily, one node at a time."""
-        index = CSRBlockIndex.from_blocks(
-            blocks, backend=self.kernel_backend, buffer_backend=self.buffer_backend
-        )
+        index = CSRBlockIndex.from_blocks(blocks, buffer_backend=self.buffer_backend)
         try:
             iterator = self.stream_index(index)
         finally:

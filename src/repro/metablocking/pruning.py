@@ -15,26 +15,24 @@ Given the weighted blocking graph, a pruning strategy decides which edges
 * **CNP** — Cardinality Node Pruning: every node keeps its top-k incident
   edges, ``k = B/|P| - 1`` blocks-per-profile based by default; OR semantics.
 
-All strategies receive the edge weight mapping plus the graph (for node-level
-statistics) and return the retained pairs with their weights.
+Ties in every ranking break by ascending canonical pair.  The strategy
+classes only hold their parameters (``k``, ``reciprocal``); the retention
+itself runs vectorised over the kernel's edge-weight table
+(:func:`repro.metablocking.backends.prune_edge_weights`).
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from collections import defaultdict
 
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.graph import BlockingGraph
 
 
 def default_cep_k(total_assignments: int) -> int:
     """CEP's default K: half the total block assignments (Papadakis et al.).
 
-    The single definition shared by the scalar strategy, the parallel driver
-    and the vectorised backend fast path — the three must retain the same
-    edge set, so the formula must not fork.
+    The single definition shared by the sequential, parallel and delta
+    paths — they must retain the same edge set, so the formula must not fork.
     """
     return max(1, total_assignments // 2)
 
@@ -44,46 +42,17 @@ def default_cnp_k(total_assignments: int, num_profiles: int) -> int:
     return max(1, math.floor(total_assignments / max(1, num_profiles)) - 1)
 
 
-class PruningStrategy(ABC):
-    """Base class of pruning strategies."""
+def _check_k(k: "int | None") -> None:
+    if k is not None and k <= 0:
+        raise MetaBlockingError("k must be positive when given")
 
-    @abstractmethod
-    def prune(
-        self,
-        graph: BlockingGraph,
-        weights: dict[tuple[int, int], float],
-    ) -> dict[tuple[int, int], float]:
-        """Return the retained edges (pair → weight)."""
 
-    def __call__(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
-    ) -> dict[tuple[int, int], float]:
-        return self.prune(graph, weights)
-
-    # ---------------------------------------------------------------- helpers
-    @staticmethod
-    def _node_incidence(
-        weights: dict[tuple[int, int], float]
-    ) -> dict[int, list[tuple[tuple[int, int], float]]]:
-        """Group the weighted edges by incident node."""
-        incidence: dict[int, list[tuple[tuple[int, int], float]]] = defaultdict(list)
-        for pair, weight in weights.items():
-            a, b = pair
-            incidence[a].append((pair, weight))
-            incidence[b].append((pair, weight))
-        return incidence
+class PruningStrategy:
+    """Base class of the stock pruning strategies."""
 
 
 class WeightedEdgePruning(PruningStrategy):
     """WEP: keep edges with weight >= the global mean edge weight."""
-
-    def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
-    ) -> dict[tuple[int, int], float]:
-        if not weights:
-            return {}
-        threshold = sum(weights.values()) / len(weights)
-        return {pair: w for pair, w in weights.items() if w >= threshold}
 
 
 class CardinalityEdgePruning(PruningStrategy):
@@ -98,20 +67,8 @@ class CardinalityEdgePruning(PruningStrategy):
     """
 
     def __init__(self, k: int | None = None) -> None:
-        if k is not None and k <= 0:
-            raise MetaBlockingError("k must be positive when given")
+        _check_k(k)
         self.k = k
-
-    def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
-    ) -> dict[tuple[int, int], float]:
-        if not weights:
-            return {}
-        k = self.k
-        if k is None:
-            k = default_cep_k(sum(graph.blocks_per_profile.values()))
-        ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
-        return dict(ranked[:k])
 
 
 class WeightedNodePruning(PruningStrategy):
@@ -119,32 +76,6 @@ class WeightedNodePruning(PruningStrategy):
 
     def __init__(self, *, reciprocal: bool = False) -> None:
         self.reciprocal = reciprocal
-
-    def node_thresholds(
-        self, weights: dict[tuple[int, int], float]
-    ) -> dict[int, float]:
-        """Average incident edge weight of every node."""
-        incidence = self._node_incidence(weights)
-        return {
-            node: (sum(w for _pair, w in edges) / len(edges)) if edges else 0.0
-            for node, edges in incidence.items()
-        }
-
-    def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
-    ) -> dict[tuple[int, int], float]:
-        if not weights:
-            return {}
-        thresholds = self.node_thresholds(weights)
-        retained: dict[tuple[int, int], float] = {}
-        for pair, weight in weights.items():
-            a, b = pair
-            keep_a = weight >= thresholds.get(a, 0.0)
-            keep_b = weight >= thresholds.get(b, 0.0)
-            keep = (keep_a and keep_b) if self.reciprocal else (keep_a or keep_b)
-            if keep:
-                retained[pair] = weight
-        return retained
 
 
 class ReciprocalWeightedNodePruning(WeightedNodePruning):
@@ -167,53 +98,36 @@ class CardinalityNodePruning(PruningStrategy):
     """
 
     def __init__(self, k: int | None = None, *, reciprocal: bool = False) -> None:
-        if k is not None and k <= 0:
-            raise MetaBlockingError("k must be positive when given")
+        _check_k(k)
         self.k = k
         self.reciprocal = reciprocal
 
-    def prune(
-        self, graph: BlockingGraph, weights: dict[tuple[int, int], float]
-    ) -> dict[tuple[int, int], float]:
-        if not weights:
-            return {}
-        k = self.k
-        if k is None:
-            k = default_cnp_k(
-                sum(graph.blocks_per_profile.values()), graph.num_nodes
-            )
-
-        incidence = self._node_incidence(weights)
-        kept_by_node: dict[int, set[tuple[int, int]]] = {}
-        for node, edges in incidence.items():
-            ranked = sorted(edges, key=lambda item: (-item[1], item[0]))
-            kept_by_node[node] = {pair for pair, _w in ranked[:k]}
-
-        retained: dict[tuple[int, int], float] = {}
-        for pair, weight in weights.items():
-            a, b = pair
-            in_a = pair in kept_by_node.get(a, ())
-            in_b = pair in kept_by_node.get(b, ())
-            keep = (in_a and in_b) if self.reciprocal else (in_a or in_b)
-            if keep:
-                retained[pair] = weight
-        return retained
-
 
 _PRUNING_ALIASES = {
-    "wep": lambda: WeightedEdgePruning(),
-    "cep": lambda: CardinalityEdgePruning(),
-    "wnp": lambda: WeightedNodePruning(),
-    "rwnp": lambda: ReciprocalWeightedNodePruning(),
-    "reciprocal_wnp": lambda: ReciprocalWeightedNodePruning(),
-    "cnp": lambda: CardinalityNodePruning(),
+    "wep": WeightedEdgePruning,
+    "cep": CardinalityEdgePruning,
+    "wnp": WeightedNodePruning,
+    "rwnp": ReciprocalWeightedNodePruning,
+    "reciprocal_wnp": ReciprocalWeightedNodePruning,
+    "cnp": CardinalityNodePruning,
 }
+
+_STOCK_STRATEGIES = frozenset(_PRUNING_ALIASES.values())
 
 
 def make_pruning_strategy(name: "str | PruningStrategy") -> PruningStrategy:
-    """Build a pruning strategy from its short name (wep, cep, wnp, rwnp, cnp)."""
-    if isinstance(name, PruningStrategy):
-        return name
+    """Build a pruning strategy from its short name (wep, cep, wnp, rwnp, cnp).
+
+    A stock strategy instance passes through; any other type — custom
+    subclasses included — is rejected.
+    """
+    if type(name) in _STOCK_STRATEGIES:
+        return name  # type: ignore[return-value]
+    if not isinstance(name, str):
+        raise MetaBlockingError(
+            f"unsupported pruning strategy {type(name).__name__}; use one of "
+            "the stock strategies (WEP, CEP, WNP, reciprocal WNP, CNP)"
+        )
     try:
         return _PRUNING_ALIASES[name.lower()]()
     except KeyError as exc:

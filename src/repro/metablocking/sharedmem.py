@@ -2,10 +2,10 @@
 
 Under a process executor the broadcast CSR index used to travel *inside* the
 pickled stage chain: every worker deserialised a multi-MB copy of the offset
-arrays per stage.  With the numpy kernel backend the buffers are plain
-``int64`` / ``float64`` blocks, so the driver can instead copy them once into
-one :class:`multiprocessing.shared_memory.SharedMemory` segment and ship only
-the segment *name* plus a field layout.  Workers attach and wrap each field
+arrays per stage.  The buffers are plain ``int64`` / ``float64`` blocks, so
+the driver can instead copy them once into one
+:class:`multiprocessing.shared_memory.SharedMemory` segment and ship only the
+segment *name* plus a field layout.  Workers attach and wrap each field
 as a zero-copy ``np.frombuffer`` view — the index is mapped once per machine,
 not pickled per worker.
 
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import weakref
 from typing import Any
+
+import numpy as np
 
 from repro.engine.sharedmem import (
     _handles,
@@ -87,8 +89,6 @@ class SharedIndexBuffers:
     def export(cls, fields: dict[str, tuple[Any, str]]) -> "SharedIndexBuffers":
         """Copy ``fields`` (name → (buffer, typecode)) into a fresh segment."""
         from multiprocessing import shared_memory
-
-        import numpy as np
 
         layout: dict[str, tuple[int, int, str]] = {}
         offset = 0
@@ -144,8 +144,6 @@ class SharedIndexBuffers:
     # ------------------------------------------------------------------ views
     def view(self, field: str):
         """Zero-copy ndarray view of one field."""
-        import numpy as np
-
         start, length, typecode = self.layout[field]
         return np.frombuffer(
             self.shm.buf,

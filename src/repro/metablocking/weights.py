@@ -12,15 +12,19 @@ original SparkER:
   graph edges.
 * **ARCS** (Aggregate Reciprocal Comparisons Scheme): sum over shared blocks
   of the reciprocal of the block's comparison cardinality.
+
+With BLAST entropy re-weighting on, each weight is further multiplied by the
+mean entropy of the blocks the two profiles share, so edges generated inside
+low-entropy attribute clusters (prices, years) are damped before pruning.
+Every scheme is evaluated vectorised by
+:class:`~repro.metablocking.backends.NumpyKernel`.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.graph import BlockingGraph, EdgeInfo
 
 
 class WeightingScheme(str, Enum):
@@ -44,84 +48,3 @@ class WeightingScheme(str, Enum):
             raise MetaBlockingError(
                 f"unknown weighting scheme {value!r}; valid schemes: {valid}"
             ) from exc
-
-
-def compute_edge_weight(
-    scheme: WeightingScheme,
-    info: EdgeInfo,
-    *,
-    blocks_a: int,
-    blocks_b: int,
-    total_blocks: int,
-    degree_a: int = 0,
-    degree_b: int = 0,
-    total_edges: int = 0,
-) -> float:
-    """Compute the weight of one edge under ``scheme``.
-
-    Parameters
-    ----------
-    info:
-        Aggregate co-occurrence information of the edge.
-    blocks_a / blocks_b:
-        Number of blocks containing each endpoint.
-    total_blocks:
-        Number of blocks in the collection (ECBS).
-    degree_a / degree_b / total_edges:
-        Node degrees and edge count of the blocking graph (EJS only).
-    """
-    cbs = float(info.common_blocks)
-    if scheme is WeightingScheme.CBS:
-        return cbs
-    if scheme is WeightingScheme.ARCS:
-        return info.arcs
-    if scheme is WeightingScheme.JS:
-        denominator = blocks_a + blocks_b - cbs
-        return cbs / denominator if denominator > 0 else 0.0
-    if scheme is WeightingScheme.ECBS:
-        if blocks_a == 0 or blocks_b == 0 or total_blocks == 0:
-            return 0.0
-        return (
-            cbs
-            * math.log10(max(total_blocks / blocks_a, 1.0) + 1e-12)
-            * math.log10(max(total_blocks / blocks_b, 1.0) + 1e-12)
-        )
-    if scheme is WeightingScheme.EJS:
-        denominator = blocks_a + blocks_b - cbs
-        js = cbs / denominator if denominator > 0 else 0.0
-        if degree_a == 0 or degree_b == 0 or total_edges == 0:
-            return js
-        return (
-            js
-            * math.log10(max(total_edges / degree_a, 1.0) + 1e-12)
-            * math.log10(max(total_edges / degree_b, 1.0) + 1e-12)
-        )
-    raise MetaBlockingError(f"unsupported weighting scheme: {scheme}")
-
-
-def weight_all_edges(
-    graph: BlockingGraph,
-    scheme: "str | WeightingScheme" = WeightingScheme.CBS,
-) -> dict[tuple[int, int], float]:
-    """Weight every edge of ``graph`` under ``scheme``.
-
-    Returns the mapping (a, b) → weight with pairs in canonical order.
-    """
-    scheme = WeightingScheme.parse(scheme)
-    degrees: dict[int, int] = {}
-    if scheme is WeightingScheme.EJS:
-        degrees = graph.degrees()
-
-    weights: dict[tuple[int, int], float] = {}
-    for (a, b), info in graph.edges.items():
-        weights[(a, b)] = compute_edge_weight(
-            scheme,
-            info,
-            blocks_a=graph.blocks_per_profile.get(a, 0),
-            blocks_b=graph.blocks_per_profile.get(b, 0),
-            total_blocks=graph.num_blocks,
-            degree_a=degrees.get(a, 0),
-            degree_b=degrees.get(b, 0),
-            total_edges=graph.num_edges,
-        )
-    return weights

@@ -28,6 +28,7 @@ from repro.data.ground_truth import GroundTruth
 from repro.engine.context import EngineContext
 from repro.evaluation.report import PipelineReport
 from repro.exceptions import PipelineError, PipelineValidationError
+from repro.metablocking.backends import drop_legacy_kernel_backend
 from repro.pipeline.artifacts import PROFILES, ArtifactStore
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.registry import make_stage
@@ -62,19 +63,6 @@ _SPEC_ENTRY_KEYS = {"stage", "label", "params", "inputs", "outputs"}
 # "dataset" is CLI provenance (which inputs to load), tolerated so resolved
 # specs written by `run --output-config` feed straight back into from_spec.
 _SPEC_TOP_KEYS = {"name", "engine", "seeds", "stages", "dataset"}
-
-
-def _executed_kernel_backend(executions: "list[StageExecution]") -> str | None:
-    """The backend a meta-blocking stage of this run actually resolved to.
-
-    ``None`` when no stage recorded one — a pipeline without meta-blocking
-    must not claim a kernel backend in its summary.
-    """
-    for execution in executions:
-        backend = (getattr(execution, "detail", None) or {}).get("kernel_backend")
-        if backend is not None:
-            return str(backend)
-    return None
 
 
 def _engine_snapshot(engine: EngineContext | None) -> dict[str, int]:
@@ -116,9 +104,6 @@ class PipelineContext:
     extras: dict[str, Any] = field(default_factory=dict)
     report: PipelineReport = field(default_factory=PipelineReport)
     max_comparisons: int = 0
-    # The engine section's kernel backend spec (auto/python/numpy or None);
-    # the meta-blocking stages resolve it per run.
-    kernel_backend: str | None = None
     # The engine section's buffer backend spec (ram/memmap or None) and the
     # temp-file root for memmap index buffers; resolved per stage run.
     buffer_backend: str | None = None
@@ -130,7 +115,7 @@ class PipelineContext:
         self.report.add(stage, metrics)
 
     def annotate(self, stage: str, **details: object) -> None:
-        """Attach execution details (e.g. the resolved kernel backend) to a
+        """Attach execution details (e.g. the resolved buffer backend) to a
         stage; the runner surfaces them in the per-stage executions table."""
         self._stage_details.setdefault(stage, {}).update(details)
 
@@ -148,7 +133,6 @@ class PipelineResult:
     spec: dict[str, object] = field(default_factory=dict)
     completed: list[str] = field(default_factory=list)
     partial: bool = False
-    kernel_backend: str | None = None
 
     # ------------------------------------------------------- common artifacts
     @property
@@ -171,7 +155,7 @@ class PipelineResult:
     def stage_rows(self) -> list[dict[str, object]]:
         """Uniform per-stage rows: status, seconds, engine counter deltas.
 
-        Detail columns (e.g. a meta-blocking stage's resolved kernel backend)
+        Detail columns (e.g. a meta-blocking stage's resolved buffer backend)
         are backfilled as empty cells on the other rows so the table renderer
         — which takes its columns from the first row — keeps them visible.
         """
@@ -201,8 +185,6 @@ class PipelineResult:
                 summary[key] = len(value)  # type: ignore[arg-type]
             except TypeError:
                 pass
-        if self.kernel_backend is not None:
-            summary["kernel_backend"] = self.kernel_backend
         if self.engine_metrics:
             summary["engine"] = dict(self.engine_metrics)
         return summary
@@ -234,7 +216,6 @@ class Pipeline:
         name: str = "pipeline",
         seeds: Mapping[str, str] | None = None,
         engine_spec: Mapping[str, object] | None = None,
-        kernel_backend: str | None = None,
         buffer_backend: str | None = None,
         tmp_dir: str | None = None,
     ) -> None:
@@ -248,7 +229,6 @@ class Pipeline:
             self.seeds.update(seeds)
         self._owns_engine = False
         self._engine_spec = dict(engine_spec) if engine_spec else None
-        self.kernel_backend = kernel_backend
         self.buffer_backend = buffer_backend
         self.tmp_dir = tmp_dir
         self.validate()
@@ -354,6 +334,7 @@ class Pipeline:
             stages.append(stage)
 
         engine_section = dict(spec.get("engine") or {})
+        drop_legacy_kernel_backend(engine_section, "engine.", PipelineValidationError)
         fault_policy = engine_section.get("fault_policy")
         if fault_policy is not None and not isinstance(fault_policy, (str, Mapping)):
             raise PipelineValidationError(
@@ -384,11 +365,6 @@ class Pipeline:
         else:
             engine_context = None
 
-        kernel_backend = engine_section.get("kernel_backend")
-        if kernel_backend is not None and not isinstance(kernel_backend, str):
-            raise PipelineValidationError(
-                f"engine.kernel_backend must be a string, got {kernel_backend!r}"
-            )
         buffer_backend = engine_section.get("buffer_backend")
         if buffer_backend is not None and not isinstance(buffer_backend, str):
             raise PipelineValidationError(
@@ -400,7 +376,6 @@ class Pipeline:
             name=str(spec.get("name", "pipeline")),
             seeds=dict(spec.get("seeds") or {}),
             engine_spec=engine_section or None,
-            kernel_backend=kernel_backend,
             buffer_backend=buffer_backend,
             tmp_dir=tmp_dir,
         )
@@ -421,8 +396,6 @@ class Pipeline:
             if self.engine is not None:
                 engine_section["parallelism"] = self.engine.default_parallelism
                 engine_section["executor"] = self.engine.executor.name
-            if self.kernel_backend is not None:
-                engine_section["kernel_backend"] = self.kernel_backend
             if self.buffer_backend is not None:
                 engine_section["buffer_backend"] = self.buffer_backend
             if self.tmp_dir is not None:
@@ -572,7 +545,6 @@ class Pipeline:
             extras=extras_dict,
             report=report,
             max_comparisons=profiles.max_comparisons(),
-            kernel_backend=self.kernel_backend,
             buffer_backend=self.buffer_backend,
             tmp_dir=self.tmp_dir,
         )
@@ -642,7 +614,6 @@ class Pipeline:
             spec=self.resolved_spec(),
             completed=[execution.label for execution in executions],
             partial=stopped,
-            kernel_backend=_executed_kernel_backend(executions),
         )
 
     def _checkpoint_state(self, **parts: Any) -> dict[str, Any]:

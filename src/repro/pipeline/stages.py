@@ -31,7 +31,7 @@ from repro.looseschema.attribute_partitioning import (
 )
 from repro.looseschema.entropy import EntropyExtractor
 from repro.looseschema.lsh import AttributeLSH
-from repro.metablocking.backends import resolve_backend_name, resolve_buffer_backend
+from repro.metablocking.backends import resolve_buffer_backend
 from repro.metablocking.parallel import make_meta_blocker
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
@@ -221,15 +221,12 @@ class MetaBlockingStage(Stage):
             weighting=self.weighting,
             pruning=self.pruning,
             use_entropy=self.use_entropy,
-            kernel_backend=context.kernel_backend,
             buffer_backend=context.buffer_backend,
             tmp_dir=context.tmp_dir,
         )
         result = meta_blocker.run(blocks)
         context.annotate(
-            self.label,
-            kernel_backend=resolve_backend_name(context.kernel_backend),
-            buffer_backend=resolve_buffer_backend(context.buffer_backend),
+            self.label, buffer_backend=resolve_buffer_backend(context.buffer_backend)
         )
         metrics: dict[str, object] = dict(result.as_dict())
         if context.ground_truth is not None:
@@ -297,19 +294,15 @@ class ProgressiveMetaBlockingStage(Stage):
         if self.strategy == "global":
             progressive = ProgressiveSortedComparisons(
                 weighting=self.weighting,
-                kernel_backend=context.kernel_backend,
                 buffer_backend=context.buffer_backend,
             )
         else:
             progressive = ProgressiveNodeScheduling(
                 weighting=self.weighting,
-                kernel_backend=context.kernel_backend,
                 buffer_backend=context.buffer_backend,
             )
         context.annotate(
-            self.label,
-            kernel_backend=resolve_backend_name(context.kernel_backend),
-            buffer_backend=resolve_buffer_backend(context.buffer_backend),
+            self.label, buffer_backend=resolve_buffer_backend(context.buffer_backend)
         )
         stream = progressive.stream(blocks)
         if self.budget is not None:

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 from repro.data.profile import EntityProfile
 from repro.engine.faults import service_fault
 from repro.exceptions import ConfigurationError, DataError
+from repro.metablocking.backends import drop_legacy_kernel_backend
 from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.progressive import (
     ProgressiveNodeScheduling,
@@ -59,7 +60,6 @@ class CollectionConfig:
     min_token_length: int = 1
     remove_stopwords: bool = False
     compact_every: "int | None" = None
-    kernel_backend: "str | None" = None
     buffer_backend: "str | None" = None
     tmp_dir: "str | None" = None
     progressive: str = "sorted"
@@ -85,6 +85,8 @@ class CollectionConfig:
     def from_dict(cls, payload: dict) -> "CollectionConfig":
         if not isinstance(payload, dict):
             raise ConfigurationError("collection config must be a mapping")
+        payload = dict(payload)
+        drop_legacy_kernel_backend(payload, "collection config ", ConfigurationError)
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - py39 keys view
         unknown = set(payload) - known
         if unknown:
@@ -120,7 +122,6 @@ class ServiceCollection:
             min_token_length=config.min_token_length,
             remove_stopwords=config.remove_stopwords,
             compact_every=config.compact_every,
-            backend=config.kernel_backend,
             buffer_backend=config.buffer_backend,
             tmp_dir=config.tmp_dir,
         )
@@ -264,7 +265,6 @@ class ServiceCollection:
             strategy = ProgressiveSortedComparisons
         return strategy(
             self.config.weighting,
-            kernel_backend=self.config.kernel_backend,
             buffer_backend=self.config.buffer_backend,
         )
 

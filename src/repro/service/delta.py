@@ -15,8 +15,8 @@ block members, so
 
 :class:`DeltaMetaBlocker` exploits exactly that: it keeps the weighted
 adjacency and the per-node pruning state between refreshes, re-sweeps only
-the touched nodes through the index's kernel backend
-(:meth:`~repro.metablocking.backends.PythonKernel.weighted_neighbourhoods`),
+the touched nodes through the index's kernel
+(:meth:`~repro.metablocking.backends.NumpyKernel.weighted_neighbourhoods`),
 and re-evaluates retention only for edges incident to the affected
 neighbourhood.  The retained-edge mapping is maintained **bit-for-bit equal**
 to a from-scratch :class:`~repro.metablocking.metablocker.MetaBlocker` run on
@@ -36,13 +36,14 @@ the union collection:
 Global schemes (ECBS, EJS — their factors depend on every node) and global
 prunings (WEP's global mean, CEP's global top-K) cannot be localised without
 approximation, so those configurations transparently fall back to a full
-recompute through the same kernel paths (``last_mode`` reports which route a
-refresh took).  Every supported (kernel backend × buffer backend) combination
-works unchanged — the delta path only talks to the kernel API.
+recompute — the same weight table and vectorised pruning the batch
+meta-blocker runs (``last_mode`` reports which route a refresh took).  Both
+buffer backends work unchanged — the delta path only talks to the kernel API.
 """
 
 from __future__ import annotations
 
+from repro.metablocking.backends import prune_edge_weights
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import (
     CardinalityNodePruning,
@@ -69,31 +70,12 @@ _LOCAL_PRUNINGS = (
 )
 
 
-class _IndexStats:
-    """Just enough of a :class:`BlockingGraph` for the pruning defaults.
-
-    The stock strategies read only ``blocks_per_profile`` (CEP / CNP default
-    k) and ``num_nodes`` (CNP default k); both derive directly from the CSR
-    index, so the full graph never has to exist.
-    """
-
-    __slots__ = ("blocks_per_profile", "num_nodes")
-
-    def __init__(self, index: CSRBlockIndex) -> None:
-        ids = index.node_ids
-        counts = index.node_block_count
-        self.blocks_per_profile = {
-            int(ids[dense]): int(counts[dense]) for dense in range(index.num_nodes)
-        }
-        self.num_nodes = index.num_nodes
-
-
 class DeltaMetaBlocker:
     """Maintain the retained candidate edges of a growing index.
 
     Parameters mirror :class:`~repro.metablocking.metablocker.MetaBlocker`
-    (weighting scheme, pruning strategy, entropy flag); the kernel and buffer
-    backends are whatever the refreshed index was built with.
+    (weighting scheme, pruning strategy, entropy flag); the buffer backend is
+    whatever the refreshed index was built with.
 
     Call :meth:`refresh` with the current (compacted) index and the profile
     ids touched since the previous refresh; read :attr:`retained` afterwards.
@@ -110,9 +92,6 @@ class DeltaMetaBlocker:
         self.weighting = WeightingScheme.parse(weighting)
         self.pruning = make_pruning_strategy(pruning)
         self.use_entropy = use_entropy
-        # type() (not isinstance) deliberately: a custom subclass may
-        # override any hook and the local path must not replicate stock
-        # behaviour in its place — same rule as the vectorised dispatch.
         self._local_capable = self.weighting in LOCAL_SCHEMES and type(
             self.pruning
         ) in _LOCAL_PRUNINGS
@@ -208,24 +187,21 @@ class DeltaMetaBlocker:
         return default_cnp_k(int(sum(index.node_block_count)), index.num_nodes)
 
     def _refresh_full(self, index: CSRBlockIndex) -> dict[tuple[int, int], float]:
-        """Recompute everything through the canonical kernel emission."""
+        """Recompute everything through the batch meta-blocker's kernel path."""
         self.full_refreshes += 1
         self.last_mode = "full"
         self.last_affected = index.num_nodes
         self.last_reweighed = index.num_nodes
         plan = index.weight_plan(self.weighting, self.use_entropy)
-        per_node = index.kernel().weighted_edges_by_node(plan)
-        weights: dict[tuple[int, int], float] = {}
+        table = index.kernel().weight_table(plan)
+        self.retained = prune_edge_weights(self.pruning, table, index)
         adj: dict[int, dict[int, float]] = {}
         upper_order: dict[int, list[int]] = {}
-        for edges in per_node:
-            for pair, weight in edges:
-                a, b = pair
-                weights[pair] = weight
-                if self._local_capable:
-                    adj.setdefault(a, {})[b] = weight
-                    adj.setdefault(b, {})[a] = weight
-                    upper_order.setdefault(a, []).append(b)
+        if self._local_capable:
+            for (a, b), weight in table.mapping.items():
+                adj.setdefault(a, {})[b] = weight
+                adj.setdefault(b, {})[a] = weight
+                upper_order.setdefault(a, []).append(b)
         self._adj = adj
         self._upper_order = upper_order
         self._thresholds = {}
@@ -234,19 +210,9 @@ class DeltaMetaBlocker:
         if self._local_capable:
             if isinstance(self.pruning, CardinalityNodePruning):
                 self._k = self._resolve_cnp_k(index)
-                incidence = PruningStrategy._node_incidence(weights)
-                self._kept = {
-                    node: {
-                        pair
-                        for pair, _w in sorted(
-                            edges, key=lambda item: (-item[1], item[0])
-                        )[: self._k]
-                    }
-                    for node, edges in incidence.items()
-                }
+                self._update_kept(adj)
             else:
-                self._thresholds = self.pruning.node_thresholds(weights)
-        self.retained = self.pruning.prune(_IndexStats(index), weights)
+                self._update_thresholds(adj)
         self._primed = True
         return self.retained
 
@@ -338,7 +304,7 @@ class DeltaMetaBlocker:
             incidence.append(((node, other), adjacency[other]))
         return incidence
 
-    def _update_thresholds(self, affected: set[int]) -> None:
+    def _update_thresholds(self, affected) -> None:
         for node in affected:
             incidence = self._incidence_of(node)
             if incidence:
@@ -346,7 +312,7 @@ class DeltaMetaBlocker:
                     weight for _pair, weight in incidence
                 ) / len(incidence)
 
-    def _update_kept(self, affected: set[int]) -> None:
+    def _update_kept(self, affected) -> None:
         k = self._k if self._k is not None else 0
         for node in affected:
             incidence = self._incidence_of(node)

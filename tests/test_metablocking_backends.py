@@ -1,22 +1,20 @@
-"""Unit tests of the kernel backend layer (selection rules + fast paths).
+"""Unit tests of the vectorised pruning layer and the backend config rules.
 
-The cross-backend *output* equivalence lives in the grid of
-``test_metablocking_equivalence.py``; this module pins the selection
-contract (explicit spec > ``REPRO_KERNEL_BACKEND`` > auto), the failure
-modes, and the vectorised pruning helpers against their scalar references
-on adversarial weight maps (duplicate weights, zeros, tie-heavy).
+The vectorised WEP / CEP / WNP / CNP retention is checked against the
+brute-force reference on adversarial weight maps (duplicate weights, zeros,
+tie-heavy) that block collections rarely produce; the full routes are
+checked in ``test_metablocking_oracle.py``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.exceptions import MetaBlockingError
+from repro.exceptions import ConfigurationError, MetaBlockingError
 from repro.metablocking import backends
-from repro.metablocking.backends import numpy_available, resolve_backend_name
-from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
@@ -25,44 +23,7 @@ from repro.metablocking.pruning import (
     WeightedNodePruning,
 )
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-
-
-class TestBackendResolution:
-    def test_explicit_python_always_wins(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "numpy")
-        assert resolve_backend_name("python") == "python"
-
-    def test_auto_prefers_numpy_when_available(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_backend_name("auto") == expected
-        assert resolve_backend_name(None) in ("python", "numpy")
-
-    def test_env_var_is_consulted_when_no_spec_given(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "python")
-        assert resolve_backend_name(None) == "python"
-        assert resolve_backend_name("") == "python"
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(MetaBlockingError, match="unknown kernel backend"):
-            resolve_backend_name("fortran")
-        with pytest.raises(MetaBlockingError, match="must be a string"):
-            resolve_backend_name(7)  # type: ignore[arg-type]
-
-    def test_numpy_request_fails_loudly_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(backends, "_numpy_checked", True)
-        monkeypatch.setattr(backends, "_numpy_module", None)
-        with pytest.raises(MetaBlockingError, match="not importable"):
-            resolve_backend_name("numpy")
-        # auto degrades silently to the interpreted kernel instead.
-        assert resolve_backend_name("auto") == "python"
-
-    def test_index_resolves_and_exposes_its_backend(self):
-        assert CSRBlockIndex(backend="python").backend == "python"
-        resolved = CSRBlockIndex().backend
-        assert resolved == ("numpy" if numpy_available() else "python")
+from tests import metablocking_oracle as oracle
 
 
 def _random_weights(seed: int, num_nodes: int = 60, num_edges: int = 400):
@@ -78,8 +39,6 @@ def _random_weights(seed: int, num_nodes: int = 60, num_edges: int = 400):
 
 
 def _table_from(weights):
-    import numpy as np
-
     pairs = list(weights)
     return backends.EdgeWeights(
         mapping=dict(weights),
@@ -90,108 +49,79 @@ def _table_from(weights):
     )
 
 
-class _StatsGraph:
-    """Just enough of a BlockingGraph for the scalar pruning strategies."""
-
-    def __init__(self, weights, num_nodes):
-        nodes = {x for pair in weights for x in pair}
-        self.blocks_per_profile = {node: 3 for node in nodes}
-        self.num_nodes = num_nodes
+def _prune(strategy, weights):
+    # Explicit k everywhere, so the index (default-k source) is never read.
+    return backends.prune_edge_weights(strategy, _table_from(weights), None)
 
 
-@needs_numpy
+def _reference(weights, pruning, k=None):
+    return oracle.prune(weights, pruning, k, assignments=0, nodes=0)
+
+
 class TestVectorisedPruningFastPaths:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_wep_matches_scalar(self, seed):
+    def test_wep_matches_oracle(self, seed):
         weights = _random_weights(seed)
-        table = _table_from(weights)
-        scalar = WeightedEdgePruning().prune(_StatsGraph(weights, 60), weights)
-        assert backends.wep_retain(table) == scalar
+        assert _prune(WeightedEdgePruning(), weights) == _reference(weights, "wep")
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 7, 10_000])
-    def test_cep_matches_scalar(self, seed, k):
+    def test_cep_matches_oracle(self, seed, k):
         weights = _random_weights(seed)
-        table = _table_from(weights)
-        scalar = CardinalityEdgePruning(k=k).prune(_StatsGraph(weights, 60), weights)
-        vectorised = backends.cep_retain(table, k)
-        assert vectorised == scalar
-        # CEP's retained dict is in ranked order in the scalar path; the
-        # vectorised path preserves that too.
-        assert list(vectorised) == list(scalar)
+        vectorised = _prune(CardinalityEdgePruning(k=k), weights)
+        # The retained dict is in ranked order, like the reference's.
+        assert list(vectorised.items()) == list(_reference(weights, "cep", k).items())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("required", [1, 2])
-    def test_wnp_matches_scalar(self, seed, required):
+    def test_wnp_matches_oracle(self, seed, required):
         weights = _random_weights(seed)
-        table = _table_from(weights)
         strategy = (
             ReciprocalWeightedNodePruning() if required == 2 else WeightedNodePruning()
         )
-        scalar = strategy.prune(_StatsGraph(weights, 60), weights)
-        assert backends.wnp_retain(table, required) == scalar
+        expected = _reference(weights, "rwnp" if required == 2 else "wnp")
+        assert _prune(strategy, weights) == expected
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("required", [1, 2])
     @pytest.mark.parametrize("k", [1, 4])
-    def test_cnp_matches_scalar(self, seed, required, k):
+    def test_cnp_matches_oracle(self, seed, required, k):
         weights = _random_weights(seed)
-        table = _table_from(weights)
         strategy = CardinalityNodePruning(k=k, reciprocal=required == 2)
-        scalar = strategy.prune(_StatsGraph(weights, 60), weights)
-        assert backends.cnp_retain(table, k, required) == scalar
+        expected = _reference(weights, "rcnp" if required == 2 else "cnp", k)
+        assert _prune(strategy, weights) == expected
 
     def test_empty_table_retains_nothing(self):
-        table = _table_from({(0, 1): 1.0})
         empty = _table_from({(0, 1): 1.0})
         empty.mapping = {}
-        empty.a = empty.a[:0]
-        empty.b = empty.b[:0]
-        empty.w = empty.w[:0]
-        empty._pairs = None
-        assert backends.wep_retain(empty) == {}
-        assert backends.cep_retain(empty, 3) == {}
-        assert backends.wnp_retain(empty, 1) == {}
-        assert backends.cnp_retain(empty, 3, 1) == {}
-        assert backends.wep_retain(table)  # sanity: non-empty stays non-empty
+        for strategy in (
+            WeightedEdgePruning(),
+            CardinalityEdgePruning(k=3),
+            WeightedNodePruning(),
+            CardinalityNodePruning(k=3),
+        ):
+            assert backends.prune_edge_weights(strategy, empty, None) == {}
+            assert len(backends.retained_positions(strategy, empty, None)) == 0
 
-    def test_custom_strategy_falls_back_to_scalar_prune(self):
-        class Custom(WeightedNodePruning):
-            def prune(self, graph, weights):  # pragma: no cover - marker only
-                return {}
 
-        weights = _random_weights(5)
-        table = _table_from(weights)
-        index = CSRBlockIndex(backend="python")
-        assert not backends.supports_strategy(Custom())
-        assert backends.prune_edge_weights(Custom(), table, index) is None
+class TestBackendConfig:
+    def test_buffer_backend_resolution(self, monkeypatch):
+        monkeypatch.delenv(backends.BUFFER_ENV_VAR, raising=False)
+        assert backends.resolve_buffer_backend(None) == "ram"
+        assert backends.resolve_buffer_backend(" MemMap ") == "memmap"
+        monkeypatch.setenv(backends.BUFFER_ENV_VAR, "memmap")
+        assert backends.resolve_buffer_backend("") == "memmap"
+        with pytest.raises(MetaBlockingError, match="unknown buffer backend"):
+            backends.resolve_buffer_backend("tape")
 
-    def test_hook_only_subclass_is_not_vectorised(self):
-        # Overriding only the node_thresholds hook (not prune) must still
-        # disqualify the fast path: the stock WNP arrays would silently
-        # ignore the customised thresholds otherwise.
-        from repro.blocking.block import Block, BlockCollection
-        from repro.metablocking.metablocker import MetaBlocker
+    @pytest.mark.parametrize("value", [None, "auto", "numpy", " NumPy "])
+    def test_legacy_kernel_backend_key_is_dropped(self, value):
+        section = {"kernel_backend": value, "executor": "serial"}
+        backends.drop_legacy_kernel_backend(section, "engine.", ConfigurationError)
+        assert section == {"executor": "serial"}
 
-        class InfThresholds(WeightedNodePruning):
-            def node_thresholds(self, weights):
-                return {node: float("inf") for pair in weights for node in pair}
-
-        assert not backends.supports_strategy(InfThresholds())
-        blocks = BlockCollection(clean_clean=False)
-        for i in range(12):
-            blocks.add(Block(key=f"b{i}", profiles_source0=set(range(i, i + 4))))
-        python_run = MetaBlocker(
-            "cbs", InfThresholds(), kernel_backend="python"
-        ).run(blocks)
-        numpy_run = MetaBlocker(
-            "cbs", InfThresholds(), kernel_backend="numpy"
-        ).run(blocks)
-        assert python_run.retained_edges == numpy_run.retained_edges == {}
-
-    def test_stock_strategies_are_supported(self):
-        assert backends.supports_strategy(WeightedEdgePruning())
-        assert backends.supports_strategy(CardinalityEdgePruning())
-        assert backends.supports_strategy(WeightedNodePruning())
-        assert backends.supports_strategy(ReciprocalWeightedNodePruning())
-        assert backends.supports_strategy(CardinalityNodePruning(reciprocal=True))
+    def test_legacy_python_kernel_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="'python' kernel was removed"):
+            backends.drop_legacy_kernel_backend(
+                {"kernel_backend": "python"}, "engine.", ConfigurationError
+            )

@@ -9,11 +9,10 @@ pruning strategy × entropy setting, on dirty and clean-clean collections
 larger and messier than the fixture datasets (random skewed block sizes,
 random non-trivial entropies, overlapping blocks, invalid blocks mixed in).
 
-The same contract holds across *kernel backends*: the vectorised numpy
-kernel fixes its accumulation order to the interpreted kernel's, so the
-python × numpy axis of the grid asserts dict-identical retained edges —
-float weights included — for sequential, parallel serial / process and both
-progressive strategies.
+Agreement of every route with the brute-force reference built from the
+paper's definitions is checked on generated inputs in
+``test_metablocking_oracle.py``; this grid pins the engine-side axes
+(partition counts, executors, buffer backends, block stores, shuffle).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import pytest
 from repro.blocking.block import Block, BlockCollection
 from repro.engine.context import EngineContext
 from repro.engine.executors import MultiprocessingExecutor
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
 from repro.metablocking.progressive import (
@@ -34,13 +32,10 @@ from repro.metablocking.progressive import (
 )
 from repro.metablocking.pruning import CardinalityNodePruning
 
+from tests import metablocking_oracle as oracle
+
 WEIGHTINGS = ["cbs", "js", "arcs", "ecbs", "ejs"]
 PRUNINGS = ["wep", "cep", "wnp", "rwnp", "cnp", "rcnp"]
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-
 
 def _make_pruning(name: str):
     # "rcnp" (reciprocal CNP) has no registry alias; build it directly so the
@@ -158,8 +153,8 @@ class TestFullGridEquivalence:
 class TestProcessExecutorGridEquivalence:
     """The multiprocessing executor must also match bit-for-bit.
 
-    Worker processes rebuild the broadcast CSR index and their own scratch
-    kernels from pickles; identical accumulation order plus partition-order
+    Worker processes rebuild the broadcast CSR index and their own
+    kernel from pickles; identical accumulation order plus partition-order
     result collection means the retained edges and their float weights still
     equal the sequential path exactly, for every weighting × pruning combo.
     """
@@ -192,153 +187,115 @@ class TestProcessExecutorGridEquivalence:
         assert parallel.retained_edges == reference.retained_edges
 
 
-@needs_numpy
-class TestBackendGridEquivalence:
-    """python × numpy backend axis: bit-for-bit identical retained edges.
+class TestOracleGridEquivalence:
+    """Every route against the brute-force oracle on the fixed grid collections.
 
-    The reference is always the interpreted kernel (``kernel_backend=
-    "python"``); the numpy side runs the vectorised sweep, ufunc weighting
-    and array pruning.  Dict equality covers pairs *and* exact float
-    weights, so any accumulation-order drift in the vectorised path fails
-    here as a last-ulp mismatch.
+    The reference is :mod:`tests.metablocking_oracle`, computed straight from
+    the paper's definitions with no index or kernel.  Dict equality covers
+    pairs *and* exact float weights, so any accumulation-order drift in the
+    vectorised sweep, weighting or pruning fails here as a last-ulp mismatch
+    on collections larger than the generated differential inputs.
     """
 
     @pytest.mark.parametrize("use_entropy", [False, True], ids=["plain", "entropy"])
     @pytest.mark.parametrize("pruning", PRUNINGS)
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_sequential_clean_clean(self, clean_blocks, weighting, pruning, use_entropy):
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="python",
+        expected = oracle.retained_edges(
+            clean_blocks, weighting, pruning, use_entropy=use_entropy
+        )
+        result = MetaBlocker(
+            weighting, _make_pruning(pruning), use_entropy=use_entropy
         ).run(clean_blocks)
-        vectorised = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="numpy",
-        ).run(clean_blocks)
-        assert vectorised.retained_edges == reference.retained_edges
-        assert vectorised.candidate_pairs == reference.candidate_pairs
-        assert vectorised.graph_edges == reference.graph_edges
-        assert vectorised.graph_nodes == reference.graph_nodes
+        assert list(result.retained_edges.items()) == list(expected.items())
+        assert result.candidate_pairs == set(expected)
+        assert result.graph_edges == len(oracle.edge_weights(clean_blocks, "cbs"))
+        assert result.graph_nodes == len(oracle.graph_nodes(clean_blocks))
 
     @pytest.mark.parametrize("use_entropy", [False, True], ids=["plain", "entropy"])
     @pytest.mark.parametrize("pruning", PRUNINGS)
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_sequential_dirty(self, dirty_blocks, weighting, pruning, use_entropy):
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="python",
+        expected = oracle.retained_edges(
+            dirty_blocks, weighting, pruning, use_entropy=use_entropy
+        )
+        result = MetaBlocker(
+            weighting, _make_pruning(pruning), use_entropy=use_entropy
         ).run(dirty_blocks)
-        vectorised = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=use_entropy,
-            kernel_backend="numpy",
-        ).run(dirty_blocks)
-        assert vectorised.retained_edges == reference.retained_edges
+        assert list(result.retained_edges.items()) == list(expected.items())
 
     @pytest.mark.parametrize("pruning", PRUNINGS)
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
-    def test_parallel_serial_numpy_matches_python_reference(
-        self, clean_blocks, weighting, pruning
-    ):
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), use_entropy=True,
-            kernel_backend="python",
-        ).run(clean_blocks)
+    def test_parallel_serial_matches_oracle(self, clean_blocks, weighting, pruning):
         parallel = ParallelMetaBlocker(
-            EngineContext(4),
-            weighting,
-            _make_pruning(pruning),
-            use_entropy=True,
-            kernel_backend="numpy",
+            EngineContext(4), weighting, _make_pruning(pruning), use_entropy=True
         ).run(clean_blocks)
-        assert parallel.retained_edges == reference.retained_edges
-
-    @pytest.mark.parametrize("pruning", ["wep", "cnp", "rwnp"])
-    @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_parallel_python_backend_on_numpy_machine(
-        self, clean_blocks, weighting, pruning
-    ):
-        # The reverse pin: an explicit python backend must stay available
-        # (and equivalent) even when numpy is importable.
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), kernel_backend="python"
-        ).run(clean_blocks)
-        parallel = ParallelMetaBlocker(
-            EngineContext(4), weighting, _make_pruning(pruning),
-            kernel_backend="python",
-        ).run(clean_blocks)
-        assert parallel.retained_edges == reference.retained_edges
+        assert parallel.retained_edges == oracle.retained_edges(
+            clean_blocks, weighting, pruning, use_entropy=True
+        )
 
     @pytest.mark.parametrize("pruning", PRUNINGS)
     @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_parallel_process_numpy_matches_python_reference(
+    def test_parallel_process_matches_oracle(
         self, dirty_blocks, process_executor, weighting, pruning
     ):
         # Process workers attach the shared-memory index; the retained
-        # edges must still equal the interpreted single-process reference.
-        reference = MetaBlocker(
-            weighting, _make_pruning(pruning), kernel_backend="python"
-        ).run(dirty_blocks)
+        # edges must still equal the single-process brute-force reference.
         parallel = ParallelMetaBlocker(
             EngineContext(4, executor=process_executor),
             weighting,
             _make_pruning(pruning),
-            kernel_backend="numpy",
         ).run(dirty_blocks)
-        assert parallel.retained_edges == reference.retained_edges
+        assert parallel.retained_edges == oracle.retained_edges(
+            dirty_blocks, weighting, pruning
+        )
 
     @pytest.mark.parametrize("strategy", ["global", "node"])
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
-    def test_progressive_rankings_identical(self, clean_blocks, strategy, weighting):
-        cls = (
-            ProgressiveSortedComparisons
-            if strategy == "global"
-            else ProgressiveNodeScheduling
-        )
-        python_ranking = cls(weighting, kernel_backend="python").rank(clean_blocks)
-        numpy_ranking = cls(weighting, kernel_backend="numpy").rank(clean_blocks)
-        assert numpy_ranking == python_ranking
+    def test_progressive_rankings_match_oracle(self, clean_blocks, strategy, weighting):
+        if strategy == "global":
+            ranking = ProgressiveSortedComparisons(weighting).rank(clean_blocks)
+            assert ranking == oracle.global_ranking(clean_blocks, weighting)
+        else:
+            ranking = ProgressiveNodeScheduling(weighting).rank(clean_blocks)
+            assert ranking == oracle.node_ranking(clean_blocks, weighting)
 
 
-@needs_numpy
 class TestBufferBackendGridEquivalence:
     """Buffer-backend axis: ram vs memmap CSR buffers, bit-for-bit.
 
     The memmap backend only changes *where* the index vectors live (one
     file-backed buffer under the managed temp root instead of process RAM);
-    both kernels read either representation through the buffer protocol, so
+    the kernel reads either representation through the buffer protocol, so
     the retained edges — float weights included — must equal the ram
     reference exactly: sequential and parallel, serial and process workers,
-    under both kernel backends, and no buffer file may outlive the run.
+    and no buffer file may outlive the run.
     """
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("pruning", ["wep", "rcnp"])
     @pytest.mark.parametrize("weighting", ["cbs", "ejs"])
-    def test_sequential_clean_clean(self, clean_blocks, kernel, weighting, pruning):
+    def test_sequential_clean_clean(self, clean_blocks, weighting, pruning):
         reference = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            kernel_backend=kernel, buffer_backend="ram",
+            buffer_backend="ram",
         ).run(clean_blocks)
         memmap = MetaBlocker(
             weighting, _make_pruning(pruning), use_entropy=True,
-            kernel_backend=kernel, buffer_backend="memmap",
+            buffer_backend="memmap",
         ).run(clean_blocks)
         assert memmap.retained_edges == reference.retained_edges
         assert memmap.candidate_pairs == reference.candidate_pairs
         assert memmap.graph_edges == reference.graph_edges
         assert memmap.graph_nodes == reference.graph_nodes
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("pruning", ["wnp", "cep"])
     @pytest.mark.parametrize("weighting", ["js", "ecbs"])
-    def test_sequential_dirty(self, dirty_blocks, kernel, weighting, pruning):
+    def test_sequential_dirty(self, dirty_blocks, weighting, pruning):
         reference = MetaBlocker(
-            weighting, _make_pruning(pruning),
-            kernel_backend=kernel, buffer_backend="ram",
+            weighting, _make_pruning(pruning), buffer_backend="ram"
         ).run(dirty_blocks)
         memmap = MetaBlocker(
-            weighting, _make_pruning(pruning),
-            kernel_backend=kernel, buffer_backend="memmap",
+            weighting, _make_pruning(pruning), buffer_backend="memmap"
         ).run(dirty_blocks)
         assert memmap.retained_edges == reference.retained_edges
 

@@ -1,8 +1,9 @@
-"""Tests of the blocking graph construction."""
+"""Tests of the blocking graph as the CSR index and its kernel materialise it."""
 
 from repro.blocking.block import Block, BlockCollection
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.graph import build_blocking_graph
+from repro.metablocking.index import CSRBlockIndex
+from repro.metablocking.metablocker import MetaBlocker
 
 
 def _collection() -> BlockCollection:
@@ -16,65 +17,75 @@ def _collection() -> BlockCollection:
     )
 
 
+def edge_weights(blocks, scheme="cbs", use_entropy=False) -> dict:
+    """Every graph edge with its weight, straight from the kernel."""
+    index = CSRBlockIndex.from_blocks(blocks)
+    plan = index.weight_plan(scheme, use_entropy)
+    return index.kernel().weight_table(plan).mapping
+
+
+def neighbours(blocks, profile_id) -> list[int]:
+    index = CSRBlockIndex.from_blocks(blocks)
+    dense = index.kernel().neighbours(index.node_of[profile_id])
+    return [index.node_ids[node] for node in dense]
+
+
 class TestBuildBlockingGraph:
     def test_edges_from_co_occurrence(self):
-        graph = build_blocking_graph(_collection())
-        assert (0, 5) in graph.edges
-        assert (1, 5) in graph.edges
-        assert graph.num_edges == 2
+        weights = edge_weights(_collection())
+        assert list(weights) == [(0, 5), (1, 5)]
+        assert MetaBlocker().run(_collection()).graph_edges == 2
 
     def test_common_blocks_counted(self):
-        graph = build_blocking_graph(_collection())
-        assert graph.edges[(0, 5)].common_blocks == 2
-        assert graph.edges[(1, 5)].common_blocks == 1
+        weights = edge_weights(_collection(), "cbs")
+        assert weights[(0, 5)] == 2.0
+        assert weights[(1, 5)] == 1.0
 
     def test_arcs_accumulates_reciprocals(self):
-        graph = build_blocking_graph(_collection())
+        weights = edge_weights(_collection(), "arcs")
         # block "a" has 2 comparisons, block "b" has 1.
-        assert graph.edges[(0, 5)].arcs == 1 / 2 + 1 / 1
-        assert graph.edges[(1, 5)].arcs == 1 / 2
+        assert weights[(0, 5)] == 1 / 2 + 1 / 1
+        assert weights[(1, 5)] == 1 / 2
 
     def test_entropy_sum_and_mean(self):
-        graph = build_blocking_graph(_collection())
-        info = graph.edges[(0, 5)]
-        assert info.entropy_sum == 1.0 + 0.5
-        assert info.mean_entropy == 0.75
+        # BLAST scales CBS by the mean entropy of the shared blocks:
+        # (1.0 + 0.5) / 2 for the edge generated by both blocks.
+        weights = edge_weights(_collection(), "cbs", use_entropy=True)
+        assert weights[(0, 5)] == 2.0 * 0.75
+        assert weights[(1, 5)] == 1.0
 
     def test_blocks_per_profile(self):
-        graph = build_blocking_graph(_collection())
-        assert graph.blocks_per_profile[0] == 2
-        assert graph.blocks_per_profile[1] == 1
-        assert graph.blocks_per_profile[5] == 2
+        index = CSRBlockIndex.from_blocks(_collection())
+        counts = {pid: index.node_block_count[index.node_of[pid]] for pid in (0, 1, 5)}
+        assert counts == {0: 2, 1: 1, 5: 2}
 
     def test_num_nodes(self):
-        graph = build_blocking_graph(_collection())
-        assert graph.num_nodes == 3
+        assert CSRBlockIndex.from_blocks(_collection()).num_nodes == 3
+        assert MetaBlocker().run(_collection()).graph_nodes == 3
 
     def test_neighbors(self):
-        graph = build_blocking_graph(_collection())
-        assert set(graph.neighbors(5)) == {0, 1}
-        assert set(graph.neighbors(0)) == {5}
+        assert set(neighbours(_collection(), 5)) == {0, 1}
+        assert neighbours(_collection(), 0) == [5]
 
-    def test_edge_lookup_order_insensitive(self):
-        graph = build_blocking_graph(_collection())
-        assert graph.edge(5, 0) is graph.edge(0, 5)
-        assert graph.edge(0, 99) is None
+    def test_edges_are_canonical_pairs(self):
+        assert all(a < b for a, b in edge_weights(_collection()))
 
     def test_adjacency_symmetric(self):
-        graph = build_blocking_graph(_collection())
-        adjacency = graph.adjacency()
-        assert len(adjacency[5]) == 2
-        assert len(adjacency[0]) == 1
+        index = CSRBlockIndex.from_blocks(_collection())
+        degrees = index.degree_vector()
+        assert degrees[index.node_of[5]] == 2
+        assert degrees[index.node_of[0]] == 1
+        assert index.num_edges() == 2
 
     def test_invalid_blocks_ignored(self):
         collection = BlockCollection(
             [Block(key="solo", profiles_source0={7}, clean_clean=True)], clean_clean=True
         )
-        graph = build_blocking_graph(collection)
-        assert graph.num_edges == 0
-        assert graph.num_nodes == 0
+        result = MetaBlocker().run(collection)
+        assert result.graph_edges == 0
+        assert result.graph_nodes == 0
+        assert CSRBlockIndex.from_blocks(collection).num_nodes == 0
 
     def test_edges_match_distinct_comparisons(self, abt_buy_small):
         blocks = TokenBlocking().block(abt_buy_small.profiles)
-        graph = build_blocking_graph(blocks)
-        assert set(graph.edges) == blocks.distinct_comparisons()
+        assert set(edge_weights(blocks)) == blocks.distinct_comparisons()

@@ -4,8 +4,8 @@ The core contract of :class:`~repro.metablocking.index.IncrementalBlockIndex`
 is *bit-for-bit* equivalence: appending profiles in any batching and then
 compacting must produce exactly the CSR that
 ``CSRBlockIndex.from_blocks(TokenBlocking(...).block(union))`` builds from
-scratch — every shared buffer byte-identical, across kernel backends and
-buffer backends — and every downstream consumer (meta-blocking, progressive
+scratch — every shared buffer byte-identical, across buffer backends — and
+every downstream consumer (meta-blocking, progressive
 streams, the delta refresher) must therefore agree on the union collection.
 """
 
@@ -20,7 +20,7 @@ from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
 from repro.data.profile import EntityProfile
 from repro.exceptions import DataError
-from repro.metablocking.backends import numpy_available
+from repro.metablocking.backends import prune_edge_weights
 from repro.metablocking.index import (
     _SHARED_FIELDS,
     AppendDelta,
@@ -29,13 +29,11 @@ from repro.metablocking.index import (
 )
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.progressive import ProgressiveSortedComparisons
+from repro.metablocking.pruning import WeightedNodePruning
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
+from tests import metablocking_oracle as oracle
 
-KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
-BUFFERS = ["ram", pytest.param("memmap", marks=needs_numpy)]
+BUFFERS = ["ram", "memmap"]
 
 _WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -59,12 +57,12 @@ def _random_profiles(count: int, *, clean_clean: bool, seed: int, start_id: int 
     return profiles
 
 
-def _batch_index(profiles, *, clean_clean, backend, buffer_backend, tmp_dir=None):
+def _batch_index(profiles, *, clean_clean, buffer_backend, tmp_dir=None):
     union = ProfileCollection(profiles)
     blocks = TokenBlocking().block(union)
     assert blocks.clean_clean == clean_clean or not profiles
     return CSRBlockIndex.from_blocks(
-        blocks, backend=backend, buffer_backend=buffer_backend, tmp_dir=tmp_dir
+        blocks, buffer_backend=buffer_backend, tmp_dir=tmp_dir
     )
 
 
@@ -77,18 +75,16 @@ def _assert_bit_identical(built: CSRBlockIndex, reference: CSRBlockIndex):
         ), f"buffer {field} differs from the from-scratch build"
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("buffer_backend", BUFFERS)
 @pytest.mark.parametrize("clean_clean", [False, True])
 class TestCompactionParity:
     def test_append_then_compact_matches_batch_build(
-        self, kernel, buffer_backend, clean_clean, tmp_path
+        self, buffer_backend, clean_clean, tmp_path
     ):
         """Multi-batch append + compact ≡ one from-scratch build (bit-for-bit)."""
         profiles = _random_profiles(90, clean_clean=clean_clean, seed=7)
         incremental = IncrementalBlockIndex(
             clean_clean=clean_clean,
-            backend=kernel,
             buffer_backend=buffer_backend,
             tmp_dir=str(tmp_path),
         )
@@ -99,8 +95,7 @@ class TestCompactionParity:
             reference = _batch_index(
                 profiles,
                 clean_clean=clean_clean,
-                backend=kernel,
-                buffer_backend=buffer_backend,
+                    buffer_backend=buffer_backend,
                 tmp_dir=str(tmp_path),
             )
             try:
@@ -111,20 +106,18 @@ class TestCompactionParity:
             incremental.close()
 
     def test_intermediate_compactions_do_not_change_the_result(
-        self, kernel, buffer_backend, clean_clean, tmp_path
+        self, buffer_backend, clean_clean, tmp_path
     ):
         """Compacting after every batch equals compacting once at the end."""
         profiles = _random_profiles(60, clean_clean=clean_clean, seed=11)
         eager = IncrementalBlockIndex(
             clean_clean=clean_clean,
             compact_every=10,
-            backend=kernel,
             buffer_backend=buffer_backend,
             tmp_dir=str(tmp_path),
         )
         lazy = IncrementalBlockIndex(
             clean_clean=clean_clean,
-            backend=kernel,
             buffer_backend=buffer_backend,
             tmp_dir=str(tmp_path),
         )
@@ -140,12 +133,34 @@ class TestCompactionParity:
             eager.close()
             lazy.close()
 
+    def test_compacted_index_meta_blocks_like_the_oracle(
+        self, buffer_backend, clean_clean, tmp_path
+    ):
+        """The appended + compacted index prunes exactly as the paper defines."""
+        profiles = _random_profiles(70, clean_clean=clean_clean, seed=13)
+        incremental = IncrementalBlockIndex(
+            clean_clean=clean_clean,
+            buffer_backend=buffer_backend,
+            tmp_dir=str(tmp_path),
+        )
+        try:
+            for start in range(0, len(profiles), 20):
+                incremental.append_profiles(profiles[start : start + 20])
+            index = incremental.materialise()
+            table = index.kernel().weight_table(index.weight_plan("ejs", True))
+            served = prune_edge_weights(WeightedNodePruning(), table, index)
+            blocks = TokenBlocking().block(ProfileCollection(profiles))
+            assert served == oracle.retained_edges(
+                blocks, "ejs", "wnp", use_entropy=True
+            )
+        finally:
+            incremental.close()
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_append_then_query_equals_batch_query_on_union(kernel):
+
+def test_append_then_query_equals_batch_query_on_union():
     """Meta-blocking and progressive streams agree with the batch union run."""
     profiles = _random_profiles(80, clean_clean=False, seed=23)
-    incremental = IncrementalBlockIndex(backend=kernel)
+    incremental = IncrementalBlockIndex()
     try:
         incremental.append_profiles(profiles[:50])
         incremental.materialise()  # query between appends, then grow
@@ -154,17 +169,13 @@ def test_append_then_query_equals_batch_query_on_union(kernel):
 
         union = ProfileCollection(profiles)
         blocks = TokenBlocking().block(union)
-        batch = MetaBlocker("js", "wnp", kernel_backend=kernel).run(blocks)
+        batch = MetaBlocker("js", "wnp").run(blocks)
 
-        from repro.metablocking.graph import blocking_graph_from_index
+        table = index.kernel().weight_table(index.weight_plan("js", False))
+        served = prune_edge_weights(WeightedNodePruning(), table, index)
+        assert served == batch.retained_edges
 
-        graph = blocking_graph_from_index(
-            index, clean_clean=False, num_blocks=index.total_blocks
-        )
-        served = MetaBlocker("js", "wnp", kernel_backend=kernel).run_on_graph(graph)
-        assert served.retained_edges == batch.retained_edges
-
-        progressive = ProgressiveSortedComparisons("cbs", kernel_backend=kernel)
+        progressive = ProgressiveSortedComparisons("cbs")
         assert list(progressive.stream_index(index)) == list(
             progressive.stream(blocks)
         )
@@ -255,7 +266,6 @@ class TestCloseHardening:
         bare.close()
         bare.close()
 
-    @needs_numpy
     def test_failed_memmap_build_leaves_no_artifact(self, tmp_path, monkeypatch):
         """A build error mid-materialisation discards the memmap file."""
         from repro.engine import tmpfiles

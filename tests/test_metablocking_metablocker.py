@@ -4,10 +4,14 @@ from repro.blocking.block import Block, BlockCollection
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
-from repro.metablocking.entropy_weighting import apply_entropy_weights
-from repro.metablocking.graph import build_blocking_graph
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.weights import weight_all_edges
+from repro.metablocking.pruning import CardinalityEdgePruning
+
+
+def all_weights(blocks, scheme="cbs", use_entropy=False) -> dict:
+    """Every edge weight, through the meta-blocker (CEP with k above |E|)."""
+    keep_all = CardinalityEdgePruning(k=10**9)
+    return MetaBlocker(scheme, keep_all, use_entropy=use_entropy).run(blocks).retained_edges
 
 
 class TestMetaBlockerToy:
@@ -34,9 +38,9 @@ class TestMetaBlockerToy:
 
     def test_retained_edges_subset_of_graph(self, abt_buy_small):
         blocks = TokenBlocking().block(abt_buy_small.profiles)
-        graph = build_blocking_graph(blocks)
         result = MetaBlocker("js", "wnp").run(blocks)
-        assert set(result.retained_edges) <= set(graph.edges)
+        assert set(result.retained_edges) <= blocks.distinct_comparisons()
+        assert result.graph_edges == len(blocks.distinct_comparisons())
 
     def test_recall_mostly_preserved(self, abt_buy_small):
         blocks = BlockFiltering().filter(
@@ -68,18 +72,13 @@ class TestEntropyWeighting:
         )
 
     def test_low_entropy_edges_damped(self):
-        blocks = self._entropy_blocks()
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        reweighted = apply_entropy_weights(graph, weights)
+        reweighted = all_weights(self._entropy_blocks(), use_entropy=True)
         assert reweighted[(0, 5)] == 1.0
         assert abs(reweighted[(1, 5)] - 0.1) < 1e-12
 
     def test_default_entropy_is_noop(self, abt_buy_small):
         blocks = TokenBlocking().block(abt_buy_small.profiles)
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        assert apply_entropy_weights(graph, weights) == weights
+        assert all_weights(blocks, use_entropy=True) == all_weights(blocks)
 
     def test_entropy_changes_pruning_outcome(self):
         # With entropy, the low-entropy edge drops below the WEP threshold.
@@ -90,7 +89,14 @@ class TestEntropyWeighting:
         assert (1, 5) not in with_entropy.candidate_pairs
         assert (0, 5) in with_entropy.candidate_pairs
 
-    def test_unknown_edge_factor_one(self):
-        graph = build_blocking_graph(self._entropy_blocks())
-        weights = {(42, 43): 2.0}
-        assert apply_entropy_weights(graph, weights) == {(42, 43): 2.0}
+    def test_factor_is_mean_entropy_of_shared_blocks(self):
+        blocks = BlockCollection(
+            [
+                Block(key=f"k{i}", profiles_source0={0}, profiles_source1={5},
+                      entropy=entropy, clean_clean=True)
+                for i, entropy in enumerate((0.5, 1.5))
+            ],
+            clean_clean=True,
+        )
+        # CBS 2 times the mean entropy (0.5 + 1.5) / 2 = 1.
+        assert all_weights(blocks, use_entropy=True) == {(0, 5): 2.0}

@@ -37,15 +37,9 @@ from repro.data.synthetic import (
 from repro.engine import tmpfiles
 from repro.engine.context import EngineContext
 from repro.exceptions import MetaBlockingError
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import _SHARED_FIELDS, CSRBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.parallel import ParallelMetaBlocker
-from repro.metablocking.pruning import WeightedNodePruning
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="memmap buffer backend requires numpy"
-)
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -72,10 +66,6 @@ def blocks():
     return _collection()
 
 
-class _CustomWNP(WeightedNodePruning):
-    """A subclass the vectorised dispatch must refuse (fallback coverage)."""
-
-
 class TestStreamedEmission:
     @pytest.mark.parametrize("pruning", ["wep", "cep", "wnp", "cnp"])
     @pytest.mark.parametrize("weighting", ["cbs", "js", "arcs", "ecbs", "ejs"])
@@ -99,16 +89,6 @@ class TestStreamedEmission:
         total = sum(len(chunk) for chunk in chunks)
         assert total == len(blocker.run(blocks).retained_edges)
 
-    def test_custom_strategy_falls_back_to_run(self, blocks):
-        blocker = MetaBlocker("js", _CustomWNP())
-        reference = list(blocker.run(blocks).retained_edges.items())
-        streamed = [
-            edge
-            for chunk in blocker.stream_retained(blocks, chunk_edges=50)
-            for edge in chunk
-        ]
-        assert streamed == reference
-
     def test_parallel_stream_equals_run_items(self, blocks):
         blocker = ParallelMetaBlocker(EngineContext(4), "ejs", "rwnp")
         reference = list(blocker.run(blocks).retained_edges.items())
@@ -123,11 +103,10 @@ class TestStreamedEmission:
         empty = BlockCollection(clean_clean=True)
         assert list(MetaBlocker("cbs", "wep").stream_retained(empty)) == []
 
-    @needs_numpy
     def test_iter_retained_chunks_rejects_nonpositive_chunk(self, blocks):
         from repro.metablocking import backends
 
-        index = CSRBlockIndex.from_blocks(blocks, backend="numpy")
+        index = CSRBlockIndex.from_blocks(blocks)
         plan = index.weight_plan("cbs", False)
         table = index.kernel().weight_arrays(plan)
         positions = backends.retained_positions(
@@ -138,7 +117,6 @@ class TestStreamedEmission:
                 next(backends.iter_retained_chunks(table, positions, bad))
 
 
-@needs_numpy
 class TestMemmapLifecycle:
     def test_buffer_file_lives_under_tmp_dir_until_close(self, blocks, tmp_path):
         index = CSRBlockIndex.from_blocks(
@@ -205,7 +183,7 @@ class TestMemmapLifecycle:
         from repro.metablocking import sharedmem
 
         index = CSRBlockIndex.from_blocks(
-            blocks, backend="numpy", buffer_backend="memmap", tmp_dir=str(tmp_path)
+            blocks, buffer_backend="memmap", tmp_dir=str(tmp_path)
         )
         reference = MetaBlocker("cbs", "wnp").run(blocks).retained_edges
         try:

@@ -5,6 +5,9 @@ every weighting scheme × pruning strategy combination, on clean-clean and
 dirty datasets alike.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.blocking.filtering import BlockFiltering
@@ -12,7 +15,9 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.token_blocking import TokenBlocking
 from repro.engine.context import EngineContext
 from repro.metablocking.metablocker import MetaBlocker
-from repro.metablocking.parallel import CompactBlockIndex, ParallelMetaBlocker
+from repro.metablocking.parallel import ParallelMetaBlocker
+
+from tests import metablocking_oracle as oracle
 
 
 def _prepared_blocks(dataset):
@@ -20,31 +25,39 @@ def _prepared_blocks(dataset):
     return BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
 
 
+@pytest.fixture(scope="module")
+def compact_block_index():
+    """The legacy dict index, kept as the kernel benchmark's baseline."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    from bench_metablocking_kernel import CompactBlockIndex
+
+    return CompactBlockIndex
+
+
 class TestCompactBlockIndex:
-    def test_profile_blocks_and_members(self, abt_buy_small):
+    def test_profile_blocks_and_members(self, abt_buy_small, compact_block_index):
         blocks = _prepared_blocks(abt_buy_small)
-        index = CompactBlockIndex.from_blocks(blocks)
+        index = compact_block_index.from_blocks(blocks)
         assert index.num_blocks == len([b for b in blocks if b.num_comparisons() > 0])
         assert index.clean_clean
         some_profile = next(iter(index.profile_blocks))
         assert len(index.blocks_of(some_profile)) >= 1
 
-    def test_neighbourhood_matches_graph(self, abt_buy_small):
-        from repro.metablocking.graph import build_blocking_graph
-
+    def test_neighbourhood_matches_graph(self, abt_buy_small, compact_block_index):
         blocks = _prepared_blocks(abt_buy_small)
-        index = CompactBlockIndex.from_blocks(blocks)
-        graph = build_blocking_graph(blocks)
-        node = next(iter(graph.blocks_per_profile))
-        expected = graph.neighbors(node)
+        index = compact_block_index.from_blocks(blocks)
+        graph = oracle.neighbourhoods(blocks)
+        node = next(iter(graph))
         actual = index.neighbourhood(node)
-        assert set(actual) == set(expected)
+        assert set(actual) == set(graph[node])
         for other, info in actual.items():
-            assert info.common_blocks == expected[other].common_blocks
+            assert info.common_blocks == graph[node][other][0]
 
-    def test_dirty_neighbourhood_excludes_self(self, dirty_persons_small):
+    def test_dirty_neighbourhood_excludes_self(
+        self, dirty_persons_small, compact_block_index
+    ):
         blocks = _prepared_blocks(dirty_persons_small)
-        index = CompactBlockIndex.from_blocks(blocks)
+        index = compact_block_index.from_blocks(blocks)
         node = next(iter(index.profile_blocks))
         assert node not in index.neighbourhood(node)
 
@@ -66,12 +79,6 @@ class TestParallelSequentialEquivalence:
         assert parallel.candidate_pairs == sequential.candidate_pairs
 
     def test_entropy_equivalence(self, abt_buy_small):
-        from repro.metablocking.backends import numpy_available
-
-        # Loose-schema blocking runs MinHash LSH, which needs numpy whatever
-        # kernel backend meta-blocking itself uses.
-        if not numpy_available():
-            pytest.skip("loose-schema LSH requires numpy")
         from repro.blocking.loose_schema_blocking import LooseSchemaTokenBlocking
         from repro.looseschema.attribute_partitioning import AttributePartitioner
         from repro.looseschema.entropy import EntropyExtractor

@@ -11,6 +11,7 @@ cryptic stage error.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +31,9 @@ from repro.engine.shuffle import (
     ShuffleMapTask,
     ZeroSeededCombiner,
 )
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import CSRBlockIndex
 from repro.metablocking.parallel import (
     _CardinalityNodeVotes,
-    _EdgeWeigher,
     _NodeDegree,
     _PartitionEdgeWeigher,
     _WeightedNodeVotes,
@@ -264,18 +263,12 @@ class TestCSRIndexPickling:
             copied = sorted(clone.kernel().neighbours(node))
             assert copied == original
 
-    def test_backend_choice_survives_the_roundtrip(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="python")
-        assert _roundtrip(index).backend == "python"
 
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend requires numpy")
 class TestNumpyIndexPickling:
-    def test_numpy_backend_roundtrip_matches_python_results(self):
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+    def test_roundtrip_matches_original_neighbourhoods(self):
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         index.degree_vector()
         clone = _roundtrip(index)
-        assert clone.backend == "numpy"
         assert clone.degree_vector() == index.degree_vector()
         for node in range(index.num_nodes):
             assert clone.kernel().neighbours(node) == index.kernel().neighbours(node)
@@ -283,8 +276,8 @@ class TestNumpyIndexPickling:
     def test_shared_memory_roundtrip_is_zero_copy_and_identical(self):
         import numpy as np
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
-        reference = CSRBlockIndex.from_blocks(_small_blocks(), backend="python")
+        index = CSRBlockIndex.from_blocks(_small_blocks())
+        reference = CSRBlockIndex.from_blocks(_small_blocks())
         index.export_shared()
         try:
             payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
@@ -306,7 +299,7 @@ class TestNumpyIndexPickling:
     def test_release_unlinks_the_segment(self):
         from repro.metablocking.sharedmem import live_segments
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         handle = index.export_shared()
         assert handle.name in live_segments()
         index.release_shared()
@@ -322,7 +315,7 @@ class TestNumpyIndexPickling:
 
         from repro.metablocking.sharedmem import live_segments
 
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         name = index.export_shared().name
         assert name in live_segments()
         del index
@@ -333,7 +326,7 @@ class TestNumpyIndexPickling:
         from repro.metablocking.sharedmem import live_segments
 
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         index.export_shared()
         context.broadcast(index)
         assert live_segments()
@@ -363,11 +356,9 @@ class TestNumpyIndexPickling:
         dataset = generate_abt_buy_like(SyntheticConfig(num_entities=40, seed=7))
         raw = TokenBlocking().block(dataset.profiles)
         blocks = BlockFiltering().filter(BlockPurging().purge(raw, len(dataset.profiles)))
-        reference = MetaBlocker("cbs", "wnp", kernel_backend="python").run(blocks)
+        reference = MetaBlocker("cbs", "wnp").run(blocks)
         with EngineContext(4, executor="process:2") as context:
-            result = ParallelMetaBlocker(
-                context, "cbs", "wnp", kernel_backend="numpy"
-            ).run(blocks)
+            result = ParallelMetaBlocker(context, "cbs", "wnp").run(blocks)
             # Run-scoped lifecycle: the segment is already unlinked when the
             # run returns, not merely at context shutdown.
             assert live_segments() == []
@@ -377,30 +368,21 @@ class TestNumpyIndexPickling:
 
 
 class TestMetaBlockingTaskFunctions:
-    def test_edge_weigher_roundtrip_produces_identical_edges(self):
-        context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks())
-        index.degree_vector()
-        broadcast = context.broadcast(index)
-        weigher = _EdgeWeigher(broadcast, WeightingScheme.EJS, True)
-        clone = _roundtrip(weigher)
-        for profile_id in index.node_ids:
-            assert clone(profile_id) == weigher(profile_id)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy backend requires numpy")
     def test_partition_edge_weigher_roundtrip_matches_per_node_emission(self):
         context = EngineContext(2)
-        index = CSRBlockIndex.from_blocks(_small_blocks(), backend="numpy")
+        index = CSRBlockIndex.from_blocks(_small_blocks())
         index.degree_vector()
         broadcast = context.broadcast(index)
         weigher = _roundtrip(
             _PartitionEdgeWeigher(broadcast, WeightingScheme.EJS, True)
         )
-        python_index = CSRBlockIndex.from_blocks(_small_blocks(), backend="python")
-        python_broadcast = context.broadcast(python_index)
-        per_node = _EdgeWeigher(python_broadcast, WeightingScheme.EJS, True)
-        expected = [record for pid in index.node_ids for record in per_node(pid)]
+        plan = index.weight_plan(WeightingScheme.EJS, True)
+        expected = [
+            record for edges in index.kernel().weighted_edges_by_node(plan)
+            for record in edges
+        ]
         assert weigher(list(index.node_ids)) == expected
+        assert [r for pid in index.node_ids for r in weigher([pid])] == expected
         assert weigher([]) == []
 
     def test_vote_functions_roundtrip(self):
@@ -421,3 +403,69 @@ class TestMetaBlockingTaskFunctions:
         broadcast = context.broadcast(index)
         degree = _roundtrip(_NodeDegree(broadcast))
         assert [degree(p) for p in index.node_ids] == list(index.degree_vector())
+
+
+LEGACY_SNAPSHOT = Path(__file__).resolve().parent / "data" / "legacy_kernel_backend_snapshot.pkl"
+
+
+def _legacy_profiles():
+    """The profiles behind the legacy fixture (same formula that built it)."""
+    from repro.data.profile import EntityProfile
+
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+    profiles = []
+    for pid in range(12):
+        profile = EntityProfile(pid, f"orig-{pid}", 0)
+        profile.add(
+            "name", " ".join(words[(pid + i) % 6] for i in range(3 if pid % 3 else 2))
+        )
+        profiles.append(profile)
+    return profiles
+
+
+class TestLegacyKernelBackendPickles:
+    """State pickled while a kernel backend could still be selected.
+
+    The fixture holds a ``ServiceCollection.snapshot_state()`` whose config
+    carries ``kernel_backend="numpy"`` and whose incremental index carries the
+    removed ``_backend`` slot, plus a pickled ``CSRBlockIndex`` of the same
+    era.  Both must restore and compute what a fresh build computes.
+    """
+
+    def _payload(self):
+        return pickle.loads(LEGACY_SNAPSHOT.read_bytes())
+
+    def _union_blocks(self):
+        from repro.blocking.token_blocking import TokenBlocking
+        from repro.data.dataset import ProfileCollection
+
+        return TokenBlocking().block(ProfileCollection(_legacy_profiles()))
+
+    def test_snapshot_state_restores(self):
+        from repro.metablocking.metablocker import MetaBlocker
+        from repro.service.collection import ServiceCollection
+
+        collection = ServiceCollection.restore(self._payload()["snapshot"])
+        try:
+            assert "kernel_backend" not in collection.config.as_dict()
+            assert collection.index.num_profiles == 12
+            collection.candidates(0)  # refreshes over the pending appends
+            expected = MetaBlocker("cbs", "wnp").run(self._union_blocks())
+            assert collection.delta.retained == expected.retained_edges
+        finally:
+            collection.close()
+
+    def test_csr_index_restores_bit_identical(self):
+        from repro.metablocking.index import _SHARED_FIELDS
+
+        legacy = self._payload()["csr_index"]
+        fresh = CSRBlockIndex.from_blocks(self._union_blocks())
+        assert legacy.node_ids == fresh.node_ids
+        for field, _typecode in _SHARED_FIELDS:
+            assert getattr(legacy, field).tobytes() == getattr(fresh, field).tobytes()
+        assert legacy.degree_vector() == fresh.degree_vector()
+        plan = legacy.weight_plan("ejs", False)
+        assert (
+            legacy.kernel().weight_table(plan).mapping
+            == fresh.kernel().weight_table(fresh.weight_plan("ejs", False)).mapping
+        )

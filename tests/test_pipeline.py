@@ -126,6 +126,23 @@ class TestValidation:
         with pytest.raises(PipelineValidationError, match="non-empty"):
             Pipeline.from_spec({"stages": []})
 
+    @pytest.mark.parametrize("value", [None, "auto", "numpy"])
+    def test_legacy_kernel_backend_key_is_accepted(self, abt_buy_small, value):
+        # Specs (and resolved provenance specs) written while the kernel was
+        # selectable carry engine.kernel_backend; the naming of today's only
+        # kernel loads and leaves no trace in the provenance.
+        spec = {"engine": {"enabled": False, "kernel_backend": value}, **FULL_SPEC}
+        pipeline = Pipeline.from_spec(spec)
+        assert "kernel_backend" not in pipeline.resolved_spec()["engine"]
+        result = pipeline.run(abt_buy_small.profiles)
+        expected = Pipeline.from_spec(FULL_SPEC).run(abt_buy_small.profiles)
+        assert result.candidate_pairs == expected.candidate_pairs
+
+    def test_legacy_python_kernel_backend_is_rejected(self):
+        spec = {"engine": {"kernel_backend": "python"}, **FULL_SPEC}
+        with pytest.raises(PipelineValidationError, match="'python' kernel was removed"):
+            Pipeline.from_spec(spec)
+
     def test_stop_after_must_name_a_stage(self, abt_buy_small):
         pipeline = Pipeline.from_spec(FULL_SPEC)
         with pytest.raises(PipelineValidationError, match="stop_after"):

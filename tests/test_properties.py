@@ -15,13 +15,13 @@ from repro.matching.similarity import (
     jaro_winkler_similarity,
     levenshtein_similarity,
 )
-from repro.metablocking.graph import build_blocking_graph
 from repro.metablocking.metablocker import MetaBlocker
 from repro.metablocking.pruning import WeightedEdgePruning, WeightedNodePruning
-from repro.metablocking.weights import weight_all_edges
 from repro.utils.hashing import stable_hash
 from repro.utils.text import normalize_text
 from repro.utils.tokenize import tokenize
+
+from tests import metablocking_oracle as oracle
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -187,19 +187,17 @@ class TestMetaBlockingProperties:
     @settings(max_examples=30, deadline=None)
     def test_pruning_output_subset_of_graph(self, members):
         blocks = _random_blocks(members)
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
+        weights = oracle.edge_weights(blocks, "cbs")
         for strategy in (WeightedEdgePruning(), WeightedNodePruning()):
-            retained = strategy.prune(graph, weights)
-            assert set(retained) <= set(weights)
+            retained = MetaBlocker("cbs", strategy).run(blocks).retained_edges
+            assert retained.items() <= weights.items()
 
     @given(block_member_lists)
     @settings(max_examples=30, deadline=None)
     def test_wnp_retains_every_node_best_edge(self, members):
         blocks = _random_blocks(members)
-        graph = build_blocking_graph(blocks)
-        weights = weight_all_edges(graph, "cbs")
-        retained = WeightedNodePruning().prune(graph, weights)
+        weights = oracle.edge_weights(blocks, "cbs")
+        retained = MetaBlocker("cbs", WeightedNodePruning()).run(blocks).retained_edges
         # Every node's locally heaviest edge is >= its mean, so it must survive.
         best: dict[int, tuple[tuple[int, int], float]] = {}
         for pair, weight in weights.items():

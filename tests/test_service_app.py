@@ -146,6 +146,18 @@ class TestServiceCollection:
         config = CollectionConfig.from_dict({"name": "ok", "weighting": "js"})
         assert CollectionConfig.from_dict(config.as_dict()) == config
 
+    @pytest.mark.parametrize("value", [None, "auto", "numpy"])
+    def test_legacy_kernel_backend_config_key_is_accepted(self, value):
+        config = CollectionConfig.from_dict({"name": "ok", "kernel_backend": value})
+        assert config == CollectionConfig(name="ok")
+
+    def test_legacy_python_kernel_backend_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="'python' kernel was removed"):
+            CollectionConfig.from_dict({"name": "ok", "kernel_backend": "python"})
+        store = CollectionStore(defaults={"kernel_backend": "python"})
+        with pytest.raises(ConfigurationError, match="'python' kernel was removed"):
+            store.get_or_create("tenant")
+
 
 # -------------------------------------------------------------------- store
 class TestCollectionStore:

@@ -15,18 +15,13 @@ import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.data.dataset import ProfileCollection
-from repro.metablocking.backends import numpy_available
 from repro.metablocking.index import IncrementalBlockIndex
 from repro.metablocking.metablocker import MetaBlocker
 from repro.service.delta import DeltaMetaBlocker
 
+from tests import metablocking_oracle as oracle
 from tests.test_metablocking_incremental import _random_profiles
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend requires numpy"
-)
-
-KERNELS = ["python", pytest.param("numpy", marks=needs_numpy)]
 LOCAL_GRID = [
     (weighting, pruning)
     for weighting in ("cbs", "js", "arcs")
@@ -35,15 +30,21 @@ LOCAL_GRID = [
 GLOBAL_GRID = [("ecbs", "wnp"), ("ejs", "cnp"), ("cbs", "wep"), ("js", "cep")]
 
 
-def _batch_retained(profiles, weighting, pruning, *, clean_clean, kernel):
+def _batch_retained(profiles, weighting, pruning, *, clean_clean):
     blocks = TokenBlocking().block(ProfileCollection(profiles))
     assert blocks.clean_clean == clean_clean
-    return MetaBlocker(weighting, pruning, kernel_backend=kernel).run(
-        blocks
-    ).retained_edges
+    return MetaBlocker(weighting, pruning).run(blocks).retained_edges
 
 
-def _run_append_sequence(weighting, pruning, *, clean_clean, kernel, seed=19):
+def _oracle_retained(profiles, weighting, pruning, *, clean_clean):
+    blocks = TokenBlocking().block(ProfileCollection(profiles))
+    assert blocks.clean_clean == clean_clean
+    return oracle.retained_edges(blocks, weighting, pruning)
+
+
+def _run_append_sequence(
+    weighting, pruning, *, clean_clean, seed=19, reference=_batch_retained
+):
     """Three appends with a refresh after each.
 
     Yields ``(delta, retained_snapshot, expected)`` per refresh — the
@@ -52,7 +53,7 @@ def _run_append_sequence(weighting, pruning, *, clean_clean, kernel, seed=19):
     """
     profiles = _random_profiles(75, clean_clean=clean_clean, seed=seed)
     batches = [profiles[:30], profiles[30:55], profiles[55:]]
-    incremental = IncrementalBlockIndex(clean_clean=clean_clean, backend=kernel)
+    incremental = IncrementalBlockIndex(clean_clean=clean_clean)
     delta = DeltaMetaBlocker(weighting, pruning)
     try:
         ingested = []
@@ -65,21 +66,16 @@ def _run_append_sequence(weighting, pruning, *, clean_clean, kernel, seed=19):
             touched = None if position == 0 else frozenset(pending)
             delta.refresh(index, touched)
             pending.clear()
-            expected = _batch_retained(
-                ingested, weighting, pruning, clean_clean=clean_clean, kernel=kernel
-            )
+            expected = reference(ingested, weighting, pruning, clean_clean=clean_clean)
             yield delta, dict(delta.retained), expected
     finally:
         incremental.close()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("weighting,pruning", LOCAL_GRID)
 @pytest.mark.parametrize("clean_clean", [False, True])
-def test_local_refresh_matches_batch(weighting, pruning, clean_clean, kernel):
-    runs = list(
-        _run_append_sequence(weighting, pruning, clean_clean=clean_clean, kernel=kernel)
-    )
+def test_local_refresh_matches_batch(weighting, pruning, clean_clean):
+    runs = list(_run_append_sequence(weighting, pruning, clean_clean=clean_clean))
     for _delta, retained, expected in runs:
         assert retained == expected
     final = runs[-1][0]
@@ -97,11 +93,22 @@ def test_local_refresh_matches_batch(weighting, pruning, clean_clean, kernel):
         assert final.last_mode in ("local", "full")
 
 
+@pytest.mark.parametrize("weighting,pruning", LOCAL_GRID)
+@pytest.mark.parametrize("clean_clean", [False, True])
+def test_local_refresh_matches_oracle(weighting, pruning, clean_clean):
+    # The localised refresh must also equal the brute-force reference built
+    # from the paper's definitions, not just the batch kernel it shares code
+    # with.
+    runs = _run_append_sequence(
+        weighting, pruning, clean_clean=clean_clean, reference=_oracle_retained
+    )
+    for _delta, retained, expected in runs:
+        assert retained == expected
+
+
 @pytest.mark.parametrize("weighting,pruning", GLOBAL_GRID)
 def test_global_configurations_fall_back_to_full_recompute(weighting, pruning):
-    runs = list(
-        _run_append_sequence(weighting, pruning, clean_clean=False, kernel="python")
-    )
+    runs = list(_run_append_sequence(weighting, pruning, clean_clean=False))
     for _delta, retained, expected in runs:
         assert retained == expected
     final = runs[-1][0]
@@ -119,9 +126,7 @@ def test_refresh_with_none_forces_full_recompute():
     delta.refresh(index, frozenset(range(40)))  # first call primes fully
     delta.refresh(index, None)
     assert delta.full_refreshes == 2
-    assert delta.retained == _batch_retained(
-        profiles, "cbs", "wnp", clean_clean=False, kernel="python"
-    )
+    assert delta.retained == _batch_retained(profiles, "cbs", "wnp", clean_clean=False)
     incremental.close()
 
 
